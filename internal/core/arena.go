@@ -118,13 +118,12 @@ func (ls *layerScratch) tileAccs(n int) []tileAcc {
 
 // p1Scratch is one phase-1 worker's scratch block: the window code
 // buffer, the (row block, slice) mask plane and its per-block headers,
-// and the per-group count buffers. The layout stamp (lay, spi)
-// identifies the shapes; a recycled block with a matching stamp is
-// reused as-is because every buffer is fully overwritten per window
-// (BuildSliceMasks rewrites each mask's words, CountAndPlanes rewrites
-// the counts). It also memoizes its metrics shard per registry, so the
-// dynamic window loop's many chunk checkouts don't register a shard
-// each.
+// the per-group count buffers, and the occupancy tally of metered
+// runs. The layout stamp (lay, spi) identifies the shapes; a recycled
+// block with a matching stamp is reused as-is because every buffer is
+// fully overwritten per window (BuildSliceMasks rewrites each mask's
+// words, CountAndPlanes rewrites the counts) and the tally is zeroed by
+// the flush that ends every chunk.
 type p1Scratch struct {
 	lay mapping.Layout
 	spi int
@@ -136,25 +135,19 @@ type p1Scratch struct {
 	counts   []int
 	sliceNZ  []int
 	ouTab    []int32 // ouTab[nz] = ceil(nz/SWL), nz in [0, XbarRows]
-
-	reg *metrics.Registry
-	sh  *metrics.Shard
+	occTally []int64 // occTally[nz] = groups that drove nz rows this chunk
 }
 
 var p1ScratchPool sync.Pool
 
 // getP1Scratch checks a phase-1 scratch block out of the pool,
 // (re)shaping it when the layout stamp differs from the last use.
-func getP1Scratch(lay mapping.Layout, spi int, reg *metrics.Registry) *p1Scratch {
+func getP1Scratch(lay mapping.Layout, spi int, am arenaMetrics) *p1Scratch {
+	am.gets.Inc()
 	s, _ := p1ScratchPool.Get().(*p1Scratch)
-	isNew := s == nil
-	if isNew {
+	if s == nil {
+		am.news.Inc()
 		s = &p1Scratch{}
-	}
-	sh := s.shard(reg)
-	sh.Counter(`sre_core_arena_gets_total{arena="phase1"}`).Inc()
-	if isNew {
-		sh.Counter(`sre_core_arena_news_total{arena="phase1"}`).Inc()
 	}
 	if s.lay != lay || s.spi != spi {
 		s.shape(lay, spi)
@@ -163,20 +156,6 @@ func getP1Scratch(lay mapping.Layout, spi int, reg *metrics.Registry) *p1Scratch
 }
 
 func (s *p1Scratch) release() { p1ScratchPool.Put(s) }
-
-// shard returns the worker-private metrics shard for reg, registering
-// one only when the registry changes (nil registry -> nil shard; every
-// shard operation is nil-safe).
-func (s *p1Scratch) shard(reg *metrics.Registry) *metrics.Shard {
-	if reg == nil {
-		return nil
-	}
-	if s.reg != reg {
-		s.reg = reg
-		s.sh = reg.Shard()
-	}
-	return s.sh
-}
 
 // shape sizes every buffer for the given layout. Mask headers are cut
 // from one backing array exactly like the pre-arena per-shard setup.
@@ -210,4 +189,5 @@ func (s *p1Scratch) shape(lay mapping.Layout, spi int) {
 	for nz := 1; nz <= lay.XbarRows; nz++ {
 		s.ouTab[nz] = int32((nz + lay.SWL - 1) / lay.SWL)
 	}
+	s.occTally = make([]int64, lay.XbarRows+1)
 }

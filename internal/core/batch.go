@@ -171,6 +171,7 @@ func simulateLayerBatch(ctx context.Context, l Layer, cfg Config, pool *parallel
 		return nil, err
 	}
 	msh := cfg.Metrics.Shard()
+	defer cfg.Metrics.Release(msh)
 	sampled := SampledWindows(windows, cfg.MaxWindows)
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
@@ -232,7 +233,7 @@ func simulateLayerBatch(ctx context.Context, l Layer, cfg Config, pool *parallel
 	// under dynamic sharding; clonable sources shard statically; a
 	// source that cannot clone is read from a single shard.
 	work := ls.workSlots(n * sampled * nTiles)
-	phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs)
+	phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh)
 	total := n * sampled
 	switch {
 	case cached:

@@ -132,7 +132,7 @@ type Config struct {
 	// Metrics, when non-nil, receives run observability: OU
 	// activations, wordline-occupancy histograms, window sampling,
 	// plan-cache traffic, and pool utilization. Hot loops write to
-	// worker-private shards; nothing the registry records feeds back
+	// per-layer shards; nothing the registry records feeds back
 	// into the simulation, so Cycles/Energy stay bit-identical to an
 	// unmetered run.
 	Metrics *metrics.Registry
@@ -190,6 +190,21 @@ func observeOccupancy(occ *metrics.Histogram, nz, swl int, reps int64) {
 	}
 }
 
+// flushOccupancy records one phase-1 chunk's occupancy tally
+// (tally[nz] = column groups that drove nz rows) into occ and zeroes
+// it. Phase 1 bumps a plain tally slot per group and flushes once per
+// chunk, which keeps the histogram's atomic adds out of the per-group
+// loop; bucket counts, sum and count are integer sums, so the histogram
+// ends up exactly as if every group had been observed on its own.
+func flushOccupancy(occ *metrics.Histogram, tally []int64, swl int) {
+	for nz, n := range tally {
+		if n != 0 {
+			observeOccupancy(occ, nz, swl, n)
+			tally[nz] = 0
+		}
+	}
+}
+
 // recordStaticOccupancy feeds occ the fixed per-slice OU fill of one
 // tile's plans — without DOF every slice drives the same retained rows,
 // so one pass over the plans, repeated reps = slices×windows times,
@@ -230,6 +245,7 @@ func publishPoolMetrics(reg *metrics.Registry, pool *parallel.Pool) {
 		return
 	}
 	sh := reg.Shard()
+	defer reg.Release(sh)
 	sh.Gauge("sre_parallel_pool_width").Set(int64(pool.Workers()))
 	sh.Gauge("sre_parallel_for_calls").Set(st.ForCalls.Load())
 	sh.Gauge("sre_parallel_items").Set(st.Items.Load())
@@ -577,8 +593,10 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	// msh is this layer call's private metrics shard (nil when the run
 	// is unmetered — every cell operation on the nil chain is a no-op).
 	// Layers overlap on the pool, so shard-per-layer keeps the serial
-	// phase-3 writes race-free without locks.
+	// phase-3 writes race-free without locks. The shard is folded into
+	// the registry when the layer returns.
 	msh := cfg.Metrics.Shard()
+	defer cfg.Metrics.Release(msh)
 
 	windows := l.Acts.Windows()
 	sampled := SampledWindows(windows, cfg.MaxWindows)
@@ -678,10 +696,12 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		} else {
 			work = make([]batchWork, sampled*nTiles)
 		}
-		phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows,
-			[]p1Input{{plane: plane, mp: mp, acts: l.Acts}})
+		var phase1 func(start, end int)
 		if cfg.ScalarReference {
-			phase1 = scalarPhase1(ctx, l, cfg, plans, work, sampled, windows)
+			phase1 = scalarPhase1(ctx, l, cfg, plans, work, sampled, windows, msh)
+		} else {
+			phase1 = kernelPhase1(ctx, l, cfg, plans, work, sampled, windows,
+				[]p1Input{{plane: plane, mp: mp, acts: l.Acts}}, msh)
 		}
 		if plane != nil {
 			// Cached codes need no source reads, so the window loop can
@@ -883,17 +903,32 @@ type p1Input struct {
 // tile's cached word plane (bitset.CountAndPlanes). Scratch comes from
 // the phase-1 arena (checked out per shard or dynamic chunk) and every
 // result lands in a disjoint work slot, so the phase stays
-// bit-identical at any worker count.
+// bit-identical at any worker count. Metered runs (msh non-nil) tally
+// occupancy in the scratch and flush it into msh once per chunk.
 func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
-	work []batchWork, sampled, windows int, inputs []p1Input) func(start, end int) {
+	work []batchWork, sampled, windows int, inputs []p1Input, msh *metrics.Shard) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
 	baseline := cfg.Mode.Scheme == compress.Baseline
+	am := arenaMetrics{
+		gets: msh.Counter(`sre_core_arena_gets_total{arena="phase1"}`),
+		news: msh.Counter(`sre_core_arena_news_total{arena="phase1"}`),
+	}
+	// The occupancy histogram is nil when unmetered: the tally block is
+	// then skipped by one branch per group and the name never formatted.
+	var occ *metrics.Histogram
+	if msh != nil {
+		occ = msh.Histogram(occName(cfg.Mode), occupancyBounds)
+	}
 	return func(start, end int) {
-		scr := getP1Scratch(lay, spi, cfg.Metrics)
+		scr := getP1Scratch(lay, spi, am)
 		defer scr.release()
+		tally := scr.occTally
+		if occ != nil {
+			defer flushOccupancy(occ, tally, g.SWL)
+		}
 		// Source clones are established lazily per input as the shard
 		// crosses input boundaries (at most once per boundary per chunk).
 		var acts ActivationSource
@@ -904,13 +939,6 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 		counts := scr.counts
 		sliceNZ := scr.sliceNZ
 		ouTab := scr.ouTab
-		// Worker-private occupancy histogram (nil when unmetered: the
-		// whole recording block is skipped by one branch per group, and
-		// the name is never even formatted).
-		var occ *metrics.Histogram
-		if cfg.Metrics != nil {
-			occ = scr.shard(cfg.Metrics).Histogram(occName(cfg.Mode), occupancyBounds)
-		}
 		for idx := start; idx < end; idx++ {
 			if ctx.Err() != nil {
 				return
@@ -973,7 +1001,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							batchOUs += int64(ouTab[nz]) * int64(tp.plans.Groups)
 							batchWL += int64(nz) * int64(tp.plans.Groups)
 							if occ != nil {
-								observeOccupancy(occ, nz, g.SWL, int64(tp.plans.Groups))
+								tally[nz] += int64(tp.plans.Groups)
 							}
 							continue
 						}
@@ -990,7 +1018,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							batchOUs += int64(ouTab[nz])
 							batchWL += int64(nz)
 							if occ != nil {
-								observeOccupancy(occ, nz, g.SWL, 1)
+								tally[nz]++
 							}
 						}
 					}

@@ -58,20 +58,25 @@ func scalarTilePlans(ctx context.Context, l Layer, cfg Config) ([][]tilePlan, er
 // calls to build each slice mask and one CountAnd per (slice, group)
 // over per-group *bitset.Set row masks.
 func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
-	work []batchWork, sampled, windows int) func(start, end int) {
+	work []batchWork, sampled, windows int, msh *metrics.Shard) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
 	dacMask := uint32(1)<<uint(cfg.Quant.DACBits) - 1
+	var occ *metrics.Histogram
+	if msh != nil {
+		occ = msh.Histogram(occName(cfg.Mode), occupancyBounds)
+	}
 	return func(start, end int) {
 		acts := cloneSource(l.Acts)
 		codes := make([]uint32, lay.Rows)
-		// Same shard-private occupancy recording as kernelPhase1, so the
-		// metered scalar path observes identical occupancy.
-		var occ *metrics.Histogram
-		if cfg.Metrics != nil {
-			occ = cfg.Metrics.Shard().Histogram(occName(cfg.Mode), occupancyBounds)
+		// The same per-chunk occupancy tally and flush as kernelPhase1,
+		// so the metered scalar path observes identical occupancy.
+		var tally []int64
+		if occ != nil {
+			tally = make([]int64, g.XbarRows+1)
+			defer flushOccupancy(occ, tally, g.SWL)
 		}
 		// Per-slice, per-row-block masks of non-zero input bits.
 		masks := make([][]*bitset.Set, spi)
@@ -117,7 +122,7 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							batchOUs += c * int64(len(tp.groupBits))
 							batchWL += int64(nz) * int64(len(tp.groupBits))
 							if occ != nil {
-								observeOccupancy(occ, nz, g.SWL, int64(len(tp.groupBits)))
+								tally[nz] += int64(len(tp.groupBits))
 							}
 						} else {
 							for _, gb := range tp.groupBits {
@@ -128,7 +133,7 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 								batchOUs += int64(xmath.CeilDiv(nz, g.SWL))
 								batchWL += int64(nz)
 								if occ != nil {
-									observeOccupancy(occ, nz, g.SWL, 1)
+									tally[nz]++
 								}
 							}
 						}

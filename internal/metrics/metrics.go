@@ -3,21 +3,30 @@
 // histograms that the hot simulation loops can feed without perturbing
 // the bit-identical Cycles/Energy guarantee.
 //
-// Layout: the Registry hands out Shards — one per worker shard of a
-// parallel loop (Registry.Shard is called at shard setup, never inside
-// the hot loop). Each shard owns its cells, so the hot-path operations
-// (Counter.Add, Histogram.Observe, Gauge.Set) are single-writer atomic
-// stores on shard-private cache lines: no locks, no allocations, no
-// cross-worker contention. Cells use atomics only so that a Snapshot
-// taken while another run is still writing (e.g. RunAll's per-mode
-// snapshots) is race-free; shard-private ownership keeps the atomic
-// adds effectively as cheap as plain stores.
+// Layout: the Registry hands out Shards — one per unit of work, such as
+// a simulated layer (Registry.Shard is called at setup, never inside the
+// hot loop). Each shard owns its cells, so the hot-path operations
+// (Counter.Add, Histogram.Observe, Gauge.Set) are atomic adds on
+// shard-private cache lines: no locks, no allocations, no cross-shard
+// contention. Cells use atomics so that a Snapshot taken while a run is
+// still writing (e.g. a /metrics scrape during a sweep) is race-free.
 //
-// Merge: Snapshot folds every shard deterministically — counters and
-// histogram buckets sum (integer addition, order-independent), gauges
-// take the maximum — so the merged snapshot of a fixed workload does
-// not depend on worker count or scheduling, and enabling metrics never
-// feeds back into the simulation itself.
+// Lifetime: when its work ends, a shard is handed back with
+// Registry.Release, which folds its cells into the registry's running
+// totals and stops tracking it. The registry therefore holds only the
+// shards of work in flight, and a Snapshot costs the same after a
+// million runs as after one. The fold and the Snapshot merge both run
+// under the registry lock, so a concurrent Snapshot sees every shard
+// exactly once: either still live or already folded.
+//
+// Merge: Snapshot folds every shard — counters and histogram buckets
+// sum (integer addition, order-independent), gauges take the maximum —
+// so the merged snapshot of a fixed set of observations does not depend
+// on how they were sharded, on the order shards were released, or on
+// whether they were released at all. A metric that itself measures the
+// scheduling (the simulator's sre_parallel_* gauges, its arena pool
+// misses) differs between identical runs all the same. Enabling metrics
+// never feeds back into the simulation itself.
 //
 // Naming: metric names may embed Prometheus-style labels directly,
 // e.g. "sre_core_ou_activations_total{mode=\"orc+dof\"}". The JSON
@@ -36,32 +45,71 @@ import (
 // valid everywhere and disables collection.
 type Registry struct {
 	mu     sync.Mutex
-	shards []*Shard
+	live   map[*Shard]struct{} // shards handed out and not yet released
+	folded *Shard              // the summed cells of every released shard
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry {
+	return &Registry{live: map[*Shard]struct{}{}, folded: newShard()}
+}
 
-// Shard returns a new worker-private shard registered with r, or nil
-// for a nil registry (every Shard operation is nil-safe). Call it at
-// shard setup — it takes the registry lock — and keep the result on the
-// worker's stack for the hot loop.
-func (r *Registry) Shard() *Shard {
-	if r == nil {
-		return nil
-	}
-	s := &Shard{
+func newShard() *Shard {
+	return &Shard{
 		counters: map[string]*Counter{},
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
+}
+
+// Shard returns a new shard registered with r, or nil for a nil
+// registry (every Shard operation is nil-safe). Call it at setup — it
+// takes the registry lock — keep the result for the hot loop, and hand
+// it back with Release when the work it meters is done.
+func (r *Registry) Shard() *Shard {
+	if r == nil {
+		return nil
+	}
+	s := newShard()
 	r.mu.Lock()
-	r.shards = append(r.shards, s)
+	r.live[s] = struct{}{}
 	r.mu.Unlock()
 	return s
 }
 
-// Shard is one worker's private slice of the registry. Cell lookup
+// Release folds s's cells into r's running totals and stops tracking
+// s, so later snapshots read the totals instead of the shard. Call it
+// once nothing writes to s any more: a write after Release is lost. A
+// nil registry or shard, or a shard already released, is a no-op.
+func (r *Registry) Release(s *Shard) {
+	if r == nil || s == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, ok := r.live[s]; !ok {
+		return
+	}
+	delete(r.live, s)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, c := range s.counters {
+		r.folded.Counter(name).Add(c.v.Load())
+	}
+	for name, g := range s.gauges {
+		r.folded.Gauge(name).Set(g.v.Load())
+	}
+	for name, h := range s.hists {
+		f := r.folded.Histogram(name, h.bounds)
+		for i := range h.buckets {
+			f.buckets[i].Add(h.buckets[i].Load())
+		}
+		f.sum.Add(h.sum.Load())
+		f.count.Add(h.count.Load())
+	}
+}
+
+// Shard is one unit of work's private slice of the registry. Cell lookup
 // (Counter, Gauge, Histogram) is setup-time work guarded by the shard's
 // own mutex; the returned cells are the hot-path handles.
 type Shard struct {
@@ -187,7 +235,7 @@ func (h *Histogram) ObserveN(v, n int64) {
 	h.count.Add(n)
 }
 
-// Snapshot is the deterministic merge of every shard. Maps are keyed by
+// Snapshot is the merge of every shard, released or live. Maps are keyed by
 // the full metric name (labels included); encoding/json sorts map keys,
 // so the serialized form is stable.
 type Snapshot struct {
@@ -206,50 +254,59 @@ type HistogramSnapshot struct {
 	Count  int64   `json:"count"`
 }
 
-// Snapshot merges every shard registered so far: counters and histogram
-// buckets sum, gauges take the maximum. Safe to call while shards are
-// still being written (the result is then a point-in-time view); the
-// merge order never affects the result. A nil registry returns nil.
+// Snapshot merges the folded totals of every released shard with every
+// live shard: counters and histogram buckets sum, gauges take the
+// maximum. Safe to call while shards are still being written (the
+// result is then a point-in-time view); neither the merge order nor
+// which shards were already released affects the result. A nil
+// registry returns nil.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	shards := append([]*Shard(nil), r.shards...)
-	r.mu.Unlock()
 	out := &Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
 		Histograms: map[string]HistogramSnapshot{},
 	}
-	for _, s := range shards {
-		s.mu.Lock()
-		for name, c := range s.counters {
-			out.Counters[name] += c.v.Load()
-		}
-		for name, g := range s.gauges {
-			if v := g.v.Load(); v > out.Gauges[name] || !hasKey(out.Gauges, name) {
-				out.Gauges[name] = v
-			}
-		}
-		for name, h := range s.hists {
-			hs, ok := out.Histograms[name]
-			if !ok {
-				hs = HistogramSnapshot{
-					Bounds: append([]int64(nil), h.bounds...),
-					Counts: make([]int64, len(h.buckets)),
-				}
-			}
-			for i := range h.buckets {
-				hs.Counts[i] += h.buckets[i].Load()
-			}
-			hs.Sum += h.sum.Load()
-			hs.Count += h.count.Load()
-			out.Histograms[name] = hs
-		}
-		s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out.merge(r.folded)
+	for sh := range r.live {
+		out.merge(sh)
 	}
 	return out
+}
+
+// merge folds sh's cells into s: counters and histogram buckets sum,
+// gauges take the maximum (a gauge cell that exists is reported even at
+// zero).
+func (s *Snapshot) merge(sh *Shard) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for name, c := range sh.counters {
+		s.Counters[name] += c.v.Load()
+	}
+	for name, g := range sh.gauges {
+		if v := g.v.Load(); v > s.Gauges[name] || !hasKey(s.Gauges, name) {
+			s.Gauges[name] = v
+		}
+	}
+	for name, h := range sh.hists {
+		hs, ok := s.Histograms[name]
+		if !ok {
+			hs = HistogramSnapshot{
+				Bounds: append([]int64(nil), h.bounds...),
+				Counts: make([]int64, len(h.buckets)),
+			}
+		}
+		for i := range h.buckets {
+			hs.Counts[i] += h.buckets[i].Load()
+		}
+		hs.Sum += h.sum.Load()
+		hs.Count += h.count.Load()
+		s.Histograms[name] = hs
+	}
 }
 
 func hasKey(m map[string]int64, k string) bool { _, ok := m[k]; return ok }

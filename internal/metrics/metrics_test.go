@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -91,6 +92,122 @@ func TestMergeDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: %+v != %+v", shards, got, want)
 		}
+	}
+}
+
+// fillShard writes shard i's observations for the release tests: a
+// counter, a counter that is created but never added to, a gauge only
+// ever set to 0, a high-water gauge, and histograms whose sums and
+// counts must survive the fold.
+func fillShard(sh *Shard, i int) {
+	sh.Counter("ops").Add(int64(i + 1))
+	sh.Counter("untouched")
+	sh.Gauge("zero").Set(0)
+	sh.Gauge("hw").Set(int64(i % 7))
+	sh.Histogram("occ", []int64{1, 2, 4, 8, 16}).ObserveN(int64(i%20), int64(i%3+1))
+	if i%5 == 0 {
+		sh.Histogram("rare", []int64{10}).Observe(int64(i))
+	}
+}
+
+// keptSnapshot is the snapshot of shards 0..n-1 filled by fillShard and
+// never released.
+func keptSnapshot(n int) *Snapshot {
+	r := NewRegistry()
+	for i := 0; i < n; i++ {
+		fillShard(r.Shard(), i)
+	}
+	return r.Snapshot()
+}
+
+// TestReleaseMatchesUnreleased pins Release's contract: folding finished
+// shards into the registry, in any order and with snapshots taken in
+// between, yields exactly the snapshot of a registry that never
+// released any.
+func TestReleaseMatchesUnreleased(t *testing.T) {
+	const n = 24
+	want := keptSnapshot(n)
+	if v, ok := want.Gauges["zero"]; !ok || v != 0 {
+		t.Fatalf("zero gauge = %d (present %v), want a present 0", v, ok)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewRegistry()
+		var done []*Shard // filled, not yet released
+		for _, i := range rng.Perm(n) {
+			sh := r.Shard()
+			fillShard(sh, i)
+			done = append(done, sh)
+			for len(done) > 0 && rng.Intn(2) == 0 {
+				k := rng.Intn(len(done))
+				r.Release(done[k])
+				done = append(done[:k], done[k+1:]...)
+				if rng.Intn(2) == 0 {
+					// A caller may scribble on its snapshot; that must not
+					// reach the registry's folded totals.
+					snap := r.Snapshot()
+					if h, ok := snap.Histograms["occ"]; ok {
+						h.Counts[0] += 1000
+					}
+				}
+			}
+		}
+		if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, %d shards live: %+v != %+v", seed, len(done), got, want)
+		}
+		for _, sh := range done {
+			r.Release(sh)
+			r.Release(sh) // a second release is a no-op
+		}
+		if len(r.live) != 0 {
+			t.Fatalf("seed %d: %d shards still tracked after releasing all", seed, len(r.live))
+		}
+		if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d, all released: %+v != %+v", seed, got, want)
+		}
+	}
+}
+
+// TestReleaseConcurrentScrape releases shards from several goroutines
+// while the test goroutine scrapes. Each scrape must see every shard
+// exactly once, live or folded: the counter total never falls between
+// scrapes and never exceeds the final sum. Run under -race.
+func TestReleaseConcurrentScrape(t *testing.T) {
+	const workers, perWorker = 8, 40
+	want := keptSnapshot(workers * perWorker)
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				sh := r.Shard()
+				fillShard(sh, w*perWorker+i)
+				r.Release(sh)
+			}
+		}(w)
+	}
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	var last int64
+	for scraping := true; scraping; {
+		select {
+		case <-finished:
+			scraping = false
+		default:
+		}
+		ops := r.Snapshot().Counters["ops"]
+		if ops < last || ops > want.Counters["ops"] {
+			t.Fatalf("scrape saw ops = %d after %d (final %d)", ops, last, want.Counters["ops"])
+		}
+		last = ops
+	}
+	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%+v != %+v", got, want)
 	}
 }
 

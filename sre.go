@@ -385,7 +385,7 @@ func WithSnapshotDir(dir string) Option {
 // WithMetrics attaches a metrics registry to a run. The simulator
 // records OU activations, wordline-occupancy histograms, window
 // sampling, plan-cache traffic, crossbar reads, and worker-pool
-// utilization into worker-private shards; Result.Metrics carries the
+// utilization into per-layer shards; Result.Metrics carries the
 // merged snapshot. Collection never changes simulation results —
 // Cycles and Energy stay bit-identical to an unmetered run.
 func WithMetrics(reg *Metrics) Option { return func(s *settings) { s.metrics = reg } }
@@ -783,7 +783,18 @@ func (n *Network) Run(mode Mode) (Result, error) {
 // seed, prune style) are rejected. The simulation stops early and
 // returns ctx.Err when the context is cancelled.
 func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Result, error) {
-	return n.runContext(ctx, mode, nil, opts)
+	s, err := n.runSettings(opts)
+	if err != nil {
+		return Result{}, err
+	}
+	out, err := n.runContext(ctx, mode, nil, s)
+	if err != nil {
+		return Result{}, err
+	}
+	if s.metrics != nil {
+		out.Metrics = s.metrics.Snapshot()
+	}
+	return out, nil
 }
 
 // runSettings resolves per-run options against the build-time config,
@@ -798,12 +809,11 @@ func (n *Network) runSettings(opts []Option) (settings, error) {
 	return s, nil
 }
 
-func (n *Network) runContext(ctx context.Context, mode Mode, pool *parallel.Pool, opts []Option) (Result, error) {
+// runContext simulates one mode under resolved run settings. It leaves
+// Result.Metrics to its caller, which snapshots the registry once its
+// own modes are all done.
+func (n *Network) runContext(ctx context.Context, mode Mode, pool *parallel.Pool, s settings) (Result, error) {
 	cm, err := mode.coreMode()
-	if err != nil {
-		return Result{}, err
-	}
-	s, err := n.runSettings(opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -868,9 +878,6 @@ func (n *Network) runContext(ctx context.Context, mode Mode, pool *parallel.Pool
 	}
 	out.IndexStorageBits = storage
 	out.ElidedGroups = elided
-	if s.metrics != nil {
-		out.Metrics = s.metrics.Snapshot()
-	}
 	return out, nil
 }
 
@@ -907,7 +914,7 @@ func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Opt
 	errs := make([]error, len(modes))
 	poolErr := pool.For(ctx, len(modes), func(start, end int) {
 		for i := start; i < end; i++ {
-			out[i], errs[i] = n.runContext(ctx, modes[i], pool, opts)
+			out[i], errs[i] = n.runContext(ctx, modes[i], pool, s)
 		}
 	})
 	for _, err := range errs {
@@ -919,9 +926,8 @@ func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Opt
 		return nil, poolErr
 	}
 	if s.metrics != nil {
-		// Per-mode snapshots taken while sibling modes were still
-		// running are partial; re-snapshot once now that every mode is
-		// done so all results agree on the sweep-wide totals.
+		// Snapshot once every mode is done, so all results agree on the
+		// sweep-wide totals.
 		snap := s.metrics.Snapshot()
 		for i := range out {
 			out[i].Metrics = snap

@@ -2,6 +2,9 @@ package sre
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sre/internal/core"
@@ -159,6 +162,75 @@ func TestRunBatchWorkerInvariance(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunBatchMeteredOccupancy pins the batched DOF engine's metering
+// over a mix of own and variant activation sets. With sampling off
+// every simulated OU is observed once, so each DOF mode's occupancy
+// count must equal its OU activations. Every series of a DOF mode must
+// also equal that of the same sets run one at a time into one
+// registry: the batch meters each input exactly as a single-set run
+// does. The rest of the snapshot differs by design: a batch shares its
+// plan, code- and mask-cache lookups and its arena checkouts across
+// sets, simulates a static mode once for all of them, and the
+// sre_parallel_* gauges record scheduling.
+func TestRunBatchMeteredOccupancy(t *testing.T) {
+	net, err := Build("batch", "conv3x8p1-pool-conv3x8p1-pool-32-5", []int{1, 16, 16},
+		smallOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	acts := []ActivationSet{{}, {ActSeed: 12345}, {ActSeed: net.cfg.Seed}, {ActSeed: 777}}
+	modes := Modes()
+	noSampling := WithMaxWindows(0)
+	batched := NewMetrics()
+	if _, err := net.RunBatchContext(ctx, modes, acts, noSampling, WithMetrics(batched)); err != nil {
+		t.Fatal(err)
+	}
+	alone := NewMetrics()
+	for _, a := range acts {
+		if _, err := net.RunBatchContext(ctx, modes, []ActivationSet{a}, noSampling, WithMetrics(alone)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := batched.Snapshot(), alone.Snapshot()
+	dofModes := 0
+	for _, m := range modes {
+		cm, err := m.coreMode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cm.DOF {
+			continue
+		}
+		dofModes++
+		label := fmt.Sprintf("{mode=%q}", m.String())
+		occ := got.Histograms["sre_core_ou_occupancy"+label]
+		ous := got.Counters["sre_core_ou_activations_total"+label]
+		if ous == 0 || occ.Count != ous {
+			t.Errorf("%v: occupancy count %d != OU activations %d", m, occ.Count, ous)
+		}
+		names := map[string]bool{}
+		for _, name := range append(got.Names(), want.Names()...) {
+			if strings.HasSuffix(name, label) {
+				names[name] = true
+			}
+		}
+		if len(names) < 10 {
+			t.Errorf("%v: only %d series carry its label", m, len(names))
+		}
+		for name := range names {
+			if got.Counters[name] != want.Counters[name] ||
+				!reflect.DeepEqual(got.Histograms[name], want.Histograms[name]) {
+				t.Errorf("%s: batched %d %+v, sets alone %d %+v", name,
+					got.Counters[name], got.Histograms[name], want.Counters[name], want.Histograms[name])
+			}
+		}
+	}
+	if dofModes == 0 {
+		t.Fatal("no DOF mode in Modes()")
 	}
 }
 

@@ -238,7 +238,7 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 	if err != nil {
 		return nil, err
 	}
-	root := xrand.New(seed).Split("workload/" + s.Name)
+	root := s.streamRoot(seed)
 	infos := net.MatrixLayerInfos()
 	b := &Built{Spec: s, Infos: infos}
 	for _, li := range infos {
@@ -274,28 +274,41 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 			WeightTotal: int64(len(w.Data())),
 			SNrramCells: compress.SNrramCompressedCells(src, p, segRows),
 		})
-		rowsPerChan := 1
-		if li.Kind == nn.KindConv && li.K > 0 {
-			rowsPerChan = li.K * li.K
-		}
-		acts := &SyntheticActs{
-			Rows:        li.Rows,
-			NWindows:    li.Windows,
-			Sparsity:    s.ActSparsity,
-			Octaves:     s.ActOctaves,
-			ChanOctaves: s.ActChanOctaves,
-			RowsPerChan: rowsPerChan,
-			ABits:       p.ABits,
-			Seed:        root.Split("a/" + li.Path).Uint64(),
-		}
 		b.Layers = append(b.Layers, core.Layer{
-			Name: li.Path, Struct: st, Acts: acts,
+			Name: li.Path, Struct: st, Acts: s.syntheticActs(root, li, p.ABits),
 			Codes:         core.NewCodePlanes(),
 			OutputBits:    int64(li.Windows) * int64(li.Cols) * int64(p.ABits),
 			ParallelGroup: li.ParallelGroup,
 		})
 	}
 	return b, nil
+}
+
+// streamRoot is the RNG every per-layer stream of the spec's network is
+// split from: Build's weights, prune passes and activation sources, and
+// VariantSources' re-derived activations.
+func (s Spec) streamRoot(seed uint64) *xrand.RNG {
+	return xrand.New(seed).Split("workload/" + s.Name)
+}
+
+// syntheticActs returns the activation source Build attaches to matrix
+// layer li. It needs no weights, so tests can derive every layer's
+// source cheaply.
+func (s Spec) syntheticActs(root *xrand.RNG, li nn.LayerInfo, abits int) *SyntheticActs {
+	rowsPerChan := 1
+	if li.Kind == nn.KindConv && li.K > 0 {
+		rowsPerChan = li.K * li.K
+	}
+	return &SyntheticActs{
+		Rows:        li.Rows,
+		NWindows:    li.Windows,
+		Sparsity:    s.ActSparsity,
+		Octaves:     s.ActOctaves,
+		ChanOctaves: s.ActChanOctaves,
+		RowsPerChan: rowsPerChan,
+		ABits:       abits,
+		Seed:        root.Split("a/" + li.Path).Uint64(),
+	}
 }
 
 // VariantSources returns one activation source per layer, re-deriving
@@ -308,7 +321,7 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 // *SyntheticActs keep their own source. The batched multi-activation
 // sweep (sre.RunBatchContext) is the consumer.
 func (s Spec) VariantSources(layers []core.Layer, actSeed uint64) []core.ActivationSource {
-	root := xrand.New(actSeed).Split("workload/" + s.Name)
+	root := s.streamRoot(actSeed)
 	out := make([]core.ActivationSource, len(layers))
 	for i := range layers {
 		sa, ok := layers[i].Acts.(*SyntheticActs)
@@ -375,7 +388,7 @@ func (s Spec) BuildOCCStructures(mode PruneMode, p quant.Params, g mapping.Geome
 	if err != nil {
 		return nil, err
 	}
-	root := xrand.New(seed).Split("workload/" + s.Name)
+	root := s.streamRoot(seed)
 	var out []*compress.OCCStructure
 	for _, li := range net.MatrixLayerInfos() {
 		r := root.Split("w/" + li.Path)
@@ -413,11 +426,17 @@ func (b *Built) ISAACInputs() []isaac.LayerInput {
 // SyntheticActs generates deterministic activation codes per window.
 // Each window first draws a local dynamic-range shift of
 // Uniform(0, Octaves) octaves below the layer's global maximum — the
-// window's own maximum — then each element is zero with probability
-// Sparsity or log-uniform in [1, windowMax]. The per-window shift is what
-// leaves whole high-order bit slices of a batch all-zero, the dominant
-// source of DOF cycle savings; the log-uniform body gives the bit-level
-// input sparsity of Fig. 4(b).
+// window's own maximum, windowMax, at least 1. With ChanOctaves > 0,
+// every run of RowsPerChan rows (one input channel) then draws a further
+// Uniform(0, ChanOctaves) octaves below windowMax, its chanMax (again at
+// least 1); otherwise chanMax is windowMax. Each element is zero with
+// probability Sparsity or log-uniform in [1, chanMax]. The per-window
+// shift is what leaves whole high-order bit slices of a batch all-zero,
+// the dominant source of DOF cycle savings; the log-uniform body gives
+// the bit-level input sparsity of Fig. 4(b).
+//
+// Codes are a pure function of (Seed, window) and the fields above;
+// TestWindowCodesDigests pins them for every Table 2 network.
 type SyntheticActs struct {
 	Rows        int
 	NWindows    int
@@ -440,8 +459,47 @@ func (s *SyntheticActs) Windows() int { return s.NWindows }
 // is safe to share across workers.
 func (s *SyntheticActs) CloneSource() core.ActivationSource { return s }
 
+// exactTol is the margin by which the fast path of windowCodes must
+// clear each decision before it trusts it, so that its codes equal the
+// defining arithmetic's bit for bit.
+//
+// The definition takes, per channel, lnMax = Log(windowMax·Pow(2, y))
+// (y = −ChanOctaves·u) and, per row, v = Exp(lnMax·u'), clamped to
+// chanMax. The fast path forms lnA = Log(windowMax) + y·Ln2 instead. With
+// ε = 2⁻⁵², Go's Exp and Log err by under ε relative, Pow(2, y) (an Exp
+// of the fractional part, a reciprocal and a scaling that rounds only
+// into subnormals) by under 4ε, and each rounding by ε/2, so with
+// L = ln windowMax the two logarithms differ by at most
+// ε·(5 + L + |y·ln2| + 2|lnA|). Where the fast path accepts a row,
+// |y·ln2| and lnA are at most L, so the gap is at most (5+4L)ε, and the
+// two values of v, after the products' and the two Exps' roundings,
+// differ relatively by at most (7+5L)ε. When Octaves ≥ 0, L is at most
+// 11.1 for 16-bit activations and 44.4 for any width; it is at most 710
+// for any finite windowMax. The bound is then 1.4e-14 for 16-bit codes
+// and 8e-13 at worst, which 2⁻³⁶ ≈ 1.5e-11 exceeds 1000× and 18×.
+// Compiling Log(windowMax) + y·Ln2 as one fused multiply-add, as
+// GOAMD64=v3 may, only drops a rounding. The margin costs the exact path
+// on a fraction of about 2·exactTol·v of the rows, under two per million
+// for 16-bit codes.
+const exactTol = 1.0 / (1 << 36)
+
 // WindowCodes implements core.ActivationSource.
 func (s *SyntheticActs) WindowCodes(w int, dst []uint32) {
+	s.windowCodes(w, dst, exactTol)
+}
+
+// windowCodes fills dst with window w's codes: the arithmetic
+// SyntheticActs defines, without its per-channel Pow and Log. Each
+// channel takes lnA = Log(windowMax) + y·Ln2 in place of the exact
+// lnMax, and each non-zero row keeps floor(Exp(lnA·u)) when it is
+// provably the defined code: lnA·(1−u) > tol, so the chanMax clamp
+// cannot fire, and the value lies farther than tol·v from both
+// neighbouring integers. A channel with lnA < −tol is clamped to
+// chanMax = 1 by the definition too. Any other channel, or the rest of
+// a channel from a row that fails the test, is resolved exactly. The
+// RNG draws are the definition's, in its order. tol = +Inf forces every
+// channel onto the exact arithmetic; see exactTol for the bound.
+func (s *SyntheticActs) windowCodes(w int, dst []uint32, tol float64) {
 	if len(dst) != s.Rows {
 		panic(fmt.Sprintf("workload: window wants %d rows, got %d", s.Rows, len(dst)))
 	}
@@ -451,30 +509,58 @@ func (s *SyntheticActs) WindowCodes(w int, dst []uint32) {
 	if windowMax < 1 {
 		windowMax = 1
 	}
+	lnW := math.Log(windowMax)
 	rpc := s.RowsPerChan
 	if rpc <= 0 {
 		rpc = 1
 	}
-	chanMax := windowMax
-	lnMax := math.Log(chanMax)
-	for i := range dst {
-		if i%rpc == 0 && s.ChanOctaves > 0 {
-			chanMax = windowMax * math.Pow(2, -s.ChanOctaves*r.Float64())
-			if chanMax < 1 {
-				chanMax = 1
+	for c := 0; c < len(dst); c += rpc {
+		y := 0.0 // the channel's shift in octaves; Pow(2, 0) is exactly 1
+		if s.ChanOctaves > 0 {
+			y = -s.ChanOctaves * r.Float64()
+		}
+		lnA := lnW + y*math.Ln2
+		// Negated tests, so that a NaN lnA takes the exact arithmetic.
+		exact := !(lnA > tol)
+		chanMax, lnMax := 1.0, 0.0
+		if exact && !(lnA < -tol) {
+			chanMax, lnMax = chanScale(windowMax, y)
+		}
+		end := min(c+rpc, len(dst))
+		for i := c; i < end; i++ {
+			if r.Bernoulli(s.Sparsity) {
+				dst[i] = 0
+				continue
 			}
-			lnMax = math.Log(chanMax)
+			u := r.Float64()
+			if !exact {
+				if lnA*(1-u) > tol {
+					v := math.Exp(lnA * u)
+					if f := math.Floor(v); v-f > tol*v && f+1-v > tol*v {
+						dst[i] = uint32(v)
+						continue
+					}
+				}
+				chanMax, lnMax = chanScale(windowMax, y)
+				exact = true
+			}
+			v := math.Exp(lnMax * u) // log-uniform in [1, chanMax]
+			if v > chanMax {
+				v = chanMax
+			}
+			dst[i] = uint32(v)
 		}
-		if r.Bernoulli(s.Sparsity) {
-			dst[i] = 0
-			continue
-		}
-		v := math.Exp(lnMax * r.Float64()) // log-uniform in [1, chanMax]
-		if v > chanMax {
-			v = chanMax
-		}
-		dst[i] = uint32(v)
 	}
+}
+
+// chanScale is a channel's exact maximum, windowMax·2^y but at least 1,
+// and its natural logarithm.
+func chanScale(windowMax, y float64) (chanMax, lnMax float64) {
+	chanMax = windowMax * math.Pow(2, y)
+	if chanMax < 1 {
+		chanMax = 1
+	}
+	return chanMax, math.Log(chanMax)
 }
 
 // MeanSliceDensity measures the average fraction of non-zero bits per

@@ -1,11 +1,16 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"sre/internal/core"
 	"sre/internal/mapping"
 	"sre/internal/quant"
+	"sre/internal/xrand"
 )
 
 func TestAllSpecsParse(t *testing.T) {
@@ -281,5 +286,249 @@ func TestMeanSliceDensityEdges(t *testing.T) {
 	allZero := &SyntheticActs{Rows: 100, NWindows: 3, Sparsity: 1, Octaves: 2, ABits: 16, Seed: 2}
 	if d := MeanSliceDensity(allZero, 100, p, 0); d != 0 {
 		t.Fatalf("all-zero density %v", d)
+	}
+}
+
+// referenceWindowCodes is the defining arithmetic of
+// SyntheticActs.WindowCodes, kept verbatim from before the fast path: a
+// Pow and a Log per channel, an Exp per non-zero row.
+func referenceWindowCodes(s *SyntheticActs, w int, dst []uint32) {
+	if len(dst) != s.Rows {
+		panic(fmt.Sprintf("workload: window wants %d rows, got %d", s.Rows, len(dst)))
+	}
+	r := xrand.New(s.Seed + uint64(w)*0x9e3779b97f4a7c15)
+	globalMax := float64(uint64(1)<<uint(s.ABits) - 1)
+	windowMax := globalMax * math.Pow(2, -s.Octaves*r.Float64())
+	if windowMax < 1 {
+		windowMax = 1
+	}
+	rpc := s.RowsPerChan
+	if rpc <= 0 {
+		rpc = 1
+	}
+	chanMax := windowMax
+	lnMax := math.Log(chanMax)
+	for i := range dst {
+		if i%rpc == 0 && s.ChanOctaves > 0 {
+			chanMax = windowMax * math.Pow(2, -s.ChanOctaves*r.Float64())
+			if chanMax < 1 {
+				chanMax = 1
+			}
+			lnMax = math.Log(chanMax)
+		}
+		if r.Bernoulli(s.Sparsity) {
+			dst[i] = 0
+			continue
+		}
+		v := math.Exp(lnMax * r.Float64()) // log-uniform in [1, chanMax]
+		if v > chanMax {
+			v = chanMax
+		}
+		dst[i] = uint32(v)
+	}
+}
+
+// testTols are the tolerances windowCodes must be exact under: the
+// production margin; a coarse one, under which many rows fail the fast
+// path's test and their channel finishes on the exact arithmetic; and
+// +Inf, which sends every channel there from its first row.
+var testTols = []float64{exactTol, 1.0 / 1024, math.Inf(1)}
+
+// checkWindow compares window w of src against the reference under
+// every test tolerance.
+func checkWindow(t *testing.T, src *SyntheticActs, w int) {
+	t.Helper()
+	want := make([]uint32, src.Rows)
+	got := make([]uint32, src.Rows)
+	referenceWindowCodes(src, w, want)
+	for _, tol := range testTols {
+		src.windowCodes(w, got, tol)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v window %d, tol %g: row %d is %d, want %d", *src, w, tol, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// table2Layers returns every matrix layer of s named and sourced as
+// Build names and sources it for 16-bit activations and the given build
+// seed, without generating weights.
+func table2Layers(tb testing.TB, s Spec, seed uint64) []core.Layer {
+	tb.Helper()
+	net, err := s.Network()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	root := s.streamRoot(seed)
+	var layers []core.Layer
+	for _, li := range net.MatrixLayerInfos() {
+		layers = append(layers, core.Layer{Name: li.Path, Acts: s.syntheticActs(root, li, quant.Default().ABits)})
+	}
+	return layers
+}
+
+func TestWindowCodesMatchesReferenceTable2(t *testing.T) {
+	for _, s := range Specs() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, seed := range []uint64{1, 2, 97} {
+				for _, l := range table2Layers(t, s, seed) {
+					src := l.Acts.(*SyntheticActs)
+					sampled := core.SampledWindows(src.NWindows, 40)
+					for wi := 0; wi < sampled; wi++ {
+						checkWindow(t, src, wi*src.NWindows/sampled)
+					}
+				}
+			}
+		})
+	}
+}
+
+// randomActs draws a SyntheticActs over the whole parameter space,
+// edges included: 1- to 16-bit codes, all-zero and zero-free windows,
+// no channel spread, RowsPerChan ≤ 0 or beyond Rows, and Octaves large
+// enough that windowMax clamps to 1.
+func randomActs(r *xrand.RNG) *SyntheticActs {
+	s := &SyntheticActs{
+		Rows:        r.Intn(160),
+		NWindows:    1 << 20,
+		RowsPerChan: r.Intn(24) - 2,
+		ABits:       1 + r.Intn(16),
+		Seed:        r.Uint64(),
+	}
+	switch r.Intn(4) {
+	case 0:
+		s.Sparsity = 0
+	case 1:
+		s.Sparsity = 1
+	default:
+		s.Sparsity = r.Float64()
+	}
+	switch r.Intn(4) {
+	case 0:
+		s.Octaves = 0
+	case 1:
+		s.Octaves = 16 + 48*r.Float64()
+	default:
+		s.Octaves = 16 * r.Float64()
+	}
+	switch r.Intn(3) {
+	case 0:
+		s.ChanOctaves = 0
+	default:
+		s.ChanOctaves = 16 * r.Float64()
+	}
+	return s
+}
+
+func TestWindowCodesMatchesReferenceRandom(t *testing.T) {
+	r := xrand.New(14)
+	for n := 0; n < 20000; n++ {
+		src := randomActs(r)
+		checkWindow(t, src, r.Intn(src.NWindows))
+	}
+}
+
+// FuzzWindowCodes searches for a window on which the fast path's error
+// bound fails to keep it exact.
+func FuzzWindowCodes(f *testing.F) {
+	f.Add(uint64(1), uint32(0), uint16(64), int16(1), uint8(16), 0.37, 9.0, 3.0)
+	f.Add(uint64(2), uint32(7), uint16(576), int16(9), uint8(16), 0.46, 15.0, 12.0)
+	f.Add(uint64(3), uint32(1), uint16(4096), int16(0), uint8(1), 0.0, 0.0, 0.0)
+	f.Add(uint64(4), uint32(3), uint16(300), int16(-3), uint8(8), 1.0, 40.0, 0.0)
+	f.Fuzz(func(t *testing.T, seed uint64, w uint32, rows uint16, rpc int16, abits uint8, sparsity, octaves, chanOctaves float64) {
+		for _, x := range []float64{sparsity, octaves, chanOctaves} {
+			if !(x >= 0 && x <= math.MaxFloat64) {
+				t.Skip("sparsity and octaves must be finite and non-negative")
+			}
+		}
+		checkWindow(t, &SyntheticActs{
+			Rows:        int(rows % 4097),
+			NWindows:    int(w) + 1,
+			Sparsity:    sparsity,
+			Octaves:     octaves,
+			ChanOctaves: chanOctaves,
+			RowsPerChan: int(rpc),
+			ABits:       1 + int(abits%16),
+			Seed:        seed,
+		}, int(w))
+	})
+}
+
+// codeDigest is FNV-1a 64 over every code of every source at 12
+// sampled windows, the shape the daemon serves.
+func codeDigest(srcs []core.ActivationSource) uint64 {
+	h := fnv.New64a()
+	var buf []byte
+	for _, src := range srcs {
+		windows := src.Windows()
+		sampled := core.SampledWindows(windows, 12)
+		codes := make([]uint32, src.(*SyntheticActs).Rows)
+		for wi := 0; wi < sampled; wi++ {
+			src.WindowCodes(wi*windows/sampled, codes)
+			buf = buf[:0]
+			for _, c := range codes {
+				buf = binary.LittleEndian.AppendUint32(buf, c)
+			}
+			h.Write(buf)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestWindowCodesDigests pins the synthesized codes themselves, for
+// build seed 1's sources and variant seed 97's. The digests were taken
+// from the generator that referenceWindowCodes preserves, so they catch
+// a change of value that path-against-path tests would not.
+func TestWindowCodesDigests(t *testing.T) {
+	want := map[string][2]uint64{
+		"MNIST":     {0x910dd41c59202c5a, 0xb4174ebd89d168f5},
+		"CIFAR-10":  {0x026678022c226497, 0xcea1f5c5150fde80},
+		"CaffeNet":  {0xb9796e8769014c37, 0x44c9c08614c26a96},
+		"VGG-16":    {0x399e7e35259d31d1, 0xfacd5633a0565559},
+		"GoogLeNet": {0x383f8e9363e8c43f, 0x9352dd2761879cf0},
+		"ResNet-50": {0x528475c3061e29a0, 0x7fe4990ac46ce0cf},
+	}
+	for _, s := range Specs() {
+		layers := table2Layers(t, s, 1)
+		own := make([]core.ActivationSource, len(layers))
+		for i := range layers {
+			own[i] = layers[i].Acts
+		}
+		got := [2]uint64{codeDigest(own), codeDigest(s.VariantSources(layers, 97))}
+		if got != want[s.Name] {
+			t.Errorf("%s: digests (build seed 1, act seed 97) = %#016x, %#016x; want %#016x, %#016x",
+				s.Name, got[0], got[1], want[s.Name][0], want[s.Name][1])
+		}
+	}
+}
+
+// BenchmarkWindowCodes times one fresh act_seed's synthesis in the
+// served shape: every matrix layer of a Table 2 network at 12 sampled
+// windows. ns/code is the figure to compare across changes.
+func BenchmarkWindowCodes(b *testing.B) {
+	for _, s := range Specs() {
+		b.Run(s.Name, func(b *testing.B) {
+			layers := table2Layers(b, s, 1)
+			var codes, maxRows int
+			for _, l := range layers {
+				rows := l.Acts.(*SyntheticActs).Rows
+				codes += rows * core.SampledWindows(l.Acts.Windows(), 12)
+				maxRows = max(maxRows, rows)
+			}
+			buf := make([]uint32, maxRows)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				for _, l := range layers {
+					windows := l.Acts.Windows()
+					sampled := core.SampledWindows(windows, 12)
+					for wi := 0; wi < sampled; wi++ {
+						l.Acts.WindowCodes(wi*windows/sampled, buf[:l.Acts.(*SyntheticActs).Rows])
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(codes), "ns/code")
+		})
 	}
 }

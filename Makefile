@@ -25,17 +25,22 @@ BENCH_COUNT ?= 1
 # The benchmark set `make bench` records: the per-mode simulator
 # kernels and the six-mode VGG-16 sweep in the root package, plus the
 # popcount-kernel and plane-construction microbenches in
-# internal/bitset so kernel-dispatch regressions show up in the same
+# internal/bitset (with the fused TileOUs kernel beside the per-slice
+# loop it replaced) so kernel-dispatch regressions show up in the same
 # trajectory record.
 BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkVGG16Sweep|BenchmarkBatchedSweep
-BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks
+BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks|BenchmarkTileOUs|BenchmarkPerSliceOUs
 
-.PHONY: all build vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-sweep bench-compare bench-coldstart bench-load bench-cluster experiments snapshot-roundtrip results profile clean
+.PHONY: all build fmt-check vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-sweep bench-compare bench-coldstart bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 
 all: verify
 
 build:
 	$(GO) build ./...
+
+# fmt-check fails when gofmt would rewrite any file, listing them.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -51,9 +56,9 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# verify = tier-1 (build + test) plus vet, the race detector, and the
-# benchmark smoke run.
-verify: vet build race bench-smoke
+# verify = tier-1 (build + test) plus the gofmt gate, vet, the race
+# detector, and the benchmark smoke run.
+verify: fmt-check vet build race bench-smoke
 
 # smoke boots the sreserved daemon for real: health check, a simulate
 # round-trip plus its cached repeat (bit-identical, no second sweep), a

@@ -1,11 +1,19 @@
 // Tiered popcount kernels.
 //
-// Every counting path in the package funnels into one of two entry
-// points — popcountWords (linear popcount) and CountAndPlanes (fused
-// mask ∩ plane popcount) — each with up to three tiers:
+// Every counting path in the package funnels into one of three entry
+// points, each with up to three tiers:
 //
-//  1. a portable 4-way unrolled math/bits.OnesCount64 kernel (always
-//     compiled, the only tier on non-amd64 or `purego` builds),
+//   - popcountWords: linear popcount, behind CountWords and Set.Count;
+//   - CountAndPlanes: popcount(mask ∩ group g) for every group of a
+//     word plane, for callers that need each group's count;
+//   - TileOUs: CountAndPlanes fused with the OU count over every set
+//     slice of a tile-window, returning only the two sums
+//     Σ ceil(count/swl) and Σ count.
+//
+// The tiers are:
+//
+//  1. a portable kernel on math/bits.OnesCount64 (always compiled, the
+//     only tier on non-amd64 or `purego` builds),
 //  2. an AVX2 assembly path (//go:build amd64 && !purego) selected at
 //     runtime by CPUID feature detection, and
 //  3. the original one-word-at-a-time scalar loops, kept in the test
@@ -14,10 +22,11 @@
 // Dispatch is shape-aware: AVX2 only pays off past a minimum word
 // count (popcount) or for the plane widths the simulator actually hits
 // in its hot loop (W == 1 and W == 2 words per group, i.e. crossbar
-// tiles of up to 128 rows). Everything else takes the unrolled
-// portable tier. All tiers are bit-identical by construction (they
-// compute exact population counts), and kernel_test.go + fuzz targets
-// enforce agreement on ragged lengths and degenerate planes.
+// tiles of up to 128 rows; TileOUs also needs a power-of-two swl, so
+// the ceiling is a shift). Everything else takes the portable tier.
+// All tiers are bit-identical by construction (they compute exact
+// integer counts and sums), and kernel_test.go + fuzz targets enforce
+// agreement on ragged lengths, group tails and degenerate planes.
 package bitset
 
 import "math/bits"
@@ -95,4 +104,53 @@ func countAndPlanesGeneric(mask, plane []uint64, counts []int) {
 			counts[g] = c0 + c1 + c2 + c3
 		}
 	}
+}
+
+// tileOUsGeneric is the portable TileOUs tier: one fused pass per set
+// slice with no counts buffer, specialized like countAndPlanesGeneric
+// for one- and two-word groups. A power-of-two swl (every OU size the
+// paper evaluates) turns the ceiling division into a shift; other
+// sizes pay a division per group.
+func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+	w := len(plane) / groups
+	bias, shift, pow2 := swl-1, uint(bits.TrailingZeros(uint(swl))), swl&(swl-1) == 0
+	ceil := func(nz int) int {
+		if pow2 {
+			return (nz + bias) >> (shift & 63)
+		}
+		return (nz + bias) / swl
+	}
+	for sl := slices; sl != 0; sl &= sl - 1 {
+		off := bits.TrailingZeros64(sl) * stride
+		m := masks[off : off+w : off+w]
+		var sOUs, sWL int
+		switch w {
+		case 1:
+			m0 := m[0]
+			for _, p := range plane {
+				nz := bits.OnesCount64(m0 & p)
+				sOUs += ceil(nz)
+				sWL += nz
+			}
+		case 2:
+			m0, m1 := m[0], m[1]
+			for g := 0; g+1 < len(plane); g += 2 {
+				nz := bits.OnesCount64(m0&plane[g]) + bits.OnesCount64(m1&plane[g+1])
+				sOUs += ceil(nz)
+				sWL += nz
+			}
+		default:
+			for g := 0; g < len(plane); g += w {
+				nz := 0
+				for i, gw := range plane[g : g+w : g+w] {
+					nz += bits.OnesCount64(m[i] & gw)
+				}
+				sOUs += ceil(nz)
+				sWL += nz
+			}
+		}
+		ous += int64(sOUs)
+		wl += int64(sWL)
+	}
+	return ous, wl
 }

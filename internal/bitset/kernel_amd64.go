@@ -84,3 +84,46 @@ func countAndPlanes2(mask, plane []uint64, counts []int) {
 		counts[g2] = bits.OnesCount64(mask[0]&plane[2*g2]) + bits.OnesCount64(mask[1]&plane[2*g2+1])
 	}
 }
+
+// tileOUs1AVX2 is TileOUs for one-word groups at swl = 1<<shift,
+// 4 groups per vector iteration; groups must be a positive multiple
+// of 4 and stride is in words.
+//
+//go:noescape
+func tileOUs1AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+
+// tileOUs2AVX2 is TileOUs for two-word groups at swl = 1<<shift,
+// 4 groups (two vectors) per iteration; groups must be a positive
+// multiple of 4 and stride is in words.
+//
+//go:noescape
+func tileOUs2AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+
+// tileOUs1 dispatches the one-word-per-group TileOUs shape: AVX2 over
+// the 4-aligned group prefix, the portable tier for the tail groups.
+func tileOUs1(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
+	g4 := len(plane) &^ 3
+	if g4 > 0 {
+		ous, wl = tileOUs1AVX2(&masks[0], stride, slices, &plane[0], g4, bits.TrailingZeros(uint(swl)))
+	}
+	if g4 < len(plane) {
+		o, w := tileOUsGeneric(masks, stride, slices, plane[g4:], len(plane)-g4, swl)
+		ous, wl = ous+o, wl+w
+	}
+	return ous, wl
+}
+
+// tileOUs2 dispatches the two-word-per-group TileOUs shape: AVX2 over
+// the 4-aligned group prefix, the portable tier for the tail groups.
+func tileOUs2(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
+	groups := len(plane) / 2
+	g4 := groups &^ 3
+	if g4 > 0 {
+		ous, wl = tileOUs2AVX2(&masks[0], stride, slices, &plane[0], g4, bits.TrailingZeros(uint(swl)))
+	}
+	if g4 < groups {
+		o, w := tileOUsGeneric(masks, stride, slices, plane[2*g4:], groups-g4, swl)
+		ous, wl = ous+o, wl+w
+	}
+	return ous, wl
+}

@@ -159,3 +159,155 @@ loop2:
 
 	VZEROUPPER
 	RET
+
+// TileOUs kernels. Shared register plan: SI masks, DX stride in bytes,
+// BX the slices still to visit, DI plane, CX groups, Y0 the current
+// slice's mask, Y8 the ceiling bias swl-1 and X9 the shift log2(swl)
+// (so (nz + Y8) >> X9 = ceil(nz/swl), 0 for an empty group), Y10 and
+// Y11 the per-qword OU and wordline accumulators.
+
+// func tileOUs1AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+// One word per group, 4 groups per iteration; groups is a positive
+// multiple of 4. vpsadbw's per-qword sums are the 4 groups' counts.
+TEXT ·tileOUs1AVX2(SB), NOSPLIT, $0-64
+	MOVQ masks+0(FP), SI
+	MOVQ stride+8(FP), DX
+	SHLQ $3, DX
+	MOVQ slices+16(FP), BX
+	MOVQ plane+24(FP), DI
+	MOVQ shift+40(FP), CX
+	MOVQ CX, X9
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	MOVQ AX, X8
+	VPBROADCASTQ X8, Y8
+	MOVQ groups+32(FP), CX
+	VMOVDQU nibblePop<>(SB), Y4
+	VMOVDQU lowNibbles<>(SB), Y5
+	VPXOR Y6, Y6, Y6             // zero, for vpsadbw
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	TESTQ BX, BX
+	JZ    reduce1
+
+slice1:
+	BSFQ  BX, AX                 // lowest slice left
+	LEAQ  -1(BX), R8
+	ANDQ  R8, BX
+	IMULQ DX, AX
+	VPBROADCASTQ (SI)(AX*1), Y0  // its mask in every qword
+	MOVQ  DI, R8
+	MOVQ  CX, R9
+
+group1:
+	VPAND   (R8), Y0, Y1         // 4 groups
+	VPAND   Y1, Y5, Y2
+	VPSRLW  $4, Y1, Y1
+	VPAND   Y1, Y5, Y1
+	VPSHUFB Y2, Y4, Y2
+	VPSHUFB Y1, Y4, Y1
+	VPADDB  Y2, Y1, Y1
+	VPSADBW Y6, Y1, Y1           // nz of the 4 groups
+	VPADDQ  Y1, Y11, Y11
+	VPADDQ  Y8, Y1, Y1
+	VPSRLQ  X9, Y1, Y1
+	VPADDQ  Y1, Y10, Y10
+	ADDQ    $32, R8
+	SUBQ    $4, R9
+	JNZ     group1
+	TESTQ   BX, BX
+	JNZ     slice1
+
+reduce1:
+	VEXTRACTI128 $1, Y10, X1
+	VPADDQ  X1, X10, X10
+	VPSRLDQ $8, X10, X1
+	VPADDQ  X1, X10, X10
+	MOVQ    X10, ous+48(FP)
+	VEXTRACTI128 $1, Y11, X1
+	VPADDQ  X1, X11, X11
+	VPSRLDQ $8, X11, X1
+	VPADDQ  X1, X11, X11
+	MOVQ    X11, wl+56(FP)
+	VZEROUPPER
+	RET
+
+// func tileOUs2AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+// Two words per group, 4 groups (two vectors) per iteration; groups is
+// a positive multiple of 4. The per-byte popcounts of the two vectors
+// are interleaved by qword and added, so one vpsadbw yields the four
+// groups' counts (each byte sum is at most 16, no carry).
+TEXT ·tileOUs2AVX2(SB), NOSPLIT, $0-64
+	MOVQ masks+0(FP), SI
+	MOVQ stride+8(FP), DX
+	SHLQ $3, DX
+	MOVQ slices+16(FP), BX
+	MOVQ plane+24(FP), DI
+	MOVQ shift+40(FP), CX
+	MOVQ CX, X9
+	MOVQ $1, AX
+	SHLQ CX, AX
+	DECQ AX
+	MOVQ AX, X8
+	VPBROADCASTQ X8, Y8
+	MOVQ groups+32(FP), CX
+	VMOVDQU nibblePop<>(SB), Y4
+	VMOVDQU lowNibbles<>(SB), Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	TESTQ BX, BX
+	JZ    reduce2
+
+slice2:
+	BSFQ  BX, AX
+	LEAQ  -1(BX), R8
+	ANDQ  R8, BX
+	IMULQ DX, AX
+	VBROADCASTI128 (SI)(AX*1), Y0 // [m0 m1 m0 m1]
+	MOVQ  DI, R8
+	MOVQ  CX, R9
+
+group2:
+	VPAND   (R8), Y0, Y1         // groups g, g+1
+	VPAND   32(R8), Y0, Y2       // groups g+2, g+3
+	VPAND   Y1, Y5, Y3
+	VPSRLW  $4, Y1, Y1
+	VPAND   Y1, Y5, Y1
+	VPSHUFB Y3, Y4, Y3
+	VPSHUFB Y1, Y4, Y1
+	VPADDB  Y3, Y1, Y1           // [a0 a1 b0 b1]
+	VPAND   Y2, Y5, Y3
+	VPSRLW  $4, Y2, Y2
+	VPAND   Y2, Y5, Y2
+	VPSHUFB Y3, Y4, Y3
+	VPSHUFB Y2, Y4, Y2
+	VPADDB  Y3, Y2, Y2           // [c0 c1 d0 d1]
+	VPUNPCKLQDQ Y2, Y1, Y3       // [a0 c0 b0 d0]
+	VPUNPCKHQDQ Y2, Y1, Y1       // [a1 c1 b1 d1]
+	VPADDB  Y3, Y1, Y1
+	VPSADBW Y6, Y1, Y1           // nz of groups [a c b d]
+	VPADDQ  Y1, Y11, Y11
+	VPADDQ  Y8, Y1, Y1
+	VPSRLQ  X9, Y1, Y1
+	VPADDQ  Y1, Y10, Y10
+	ADDQ    $64, R8
+	SUBQ    $4, R9
+	JNZ     group2
+	TESTQ   BX, BX
+	JNZ     slice2
+
+reduce2:
+	VEXTRACTI128 $1, Y10, X1
+	VPADDQ  X1, X10, X10
+	VPSRLDQ $8, X10, X1
+	VPADDQ  X1, X10, X10
+	MOVQ    X10, ous+48(FP)
+	VEXTRACTI128 $1, Y11, X1
+	VPADDQ  X1, X11, X11
+	VPSRLDQ $8, X11, X1
+	VPADDQ  X1, X11, X11
+	MOVQ    X11, wl+56(FP)
+	VZEROUPPER
+	RET

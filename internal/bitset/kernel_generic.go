@@ -17,3 +17,11 @@ func countAndPlanes1(mask uint64, plane []uint64, counts []int) {
 func countAndPlanes2(mask, plane []uint64, counts []int) {
 	panic("bitset: no AVX2 tier in this build")
 }
+
+func tileOUs1(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
+	panic("bitset: no AVX2 tier in this build")
+}
+
+func tileOUs2(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
+	panic("bitset: no AVX2 tier in this build")
+}

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 
@@ -230,3 +231,216 @@ func benchmarkCountAndPlanes(b *testing.B, w, groups int) {
 func BenchmarkCountAndPlanesW1(b *testing.B) { benchmarkCountAndPlanes(b, 1, 16) }
 func BenchmarkCountAndPlanesW2(b *testing.B) { benchmarkCountAndPlanes(b, 2, 16) }
 func BenchmarkCountAndPlanesW8(b *testing.B) { benchmarkCountAndPlanes(b, 8, 16) }
+
+// tileOUsRef is the golden-reference TileOUs: phase 1's original
+// per-slice, per-group scalar loop with a true ceiling division.
+func tileOUsRef(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+	if groups == 0 {
+		return 0, 0
+	}
+	w := len(plane) / groups
+	for s := 0; s < 64; s++ {
+		if slices&(1<<uint(s)) == 0 {
+			continue
+		}
+		for g := 0; g < groups; g++ {
+			nz := 0
+			for i := 0; i < w; i++ {
+				nz += bits.OnesCount64(masks[s*stride+i] & plane[g*w+i])
+			}
+			wl += int64(nz)
+			ous += int64((nz + swl - 1) / swl)
+		}
+	}
+	return ous, wl
+}
+
+// checkTileOUsTiers compares TileOUs and every tier that accepts the
+// shape (called directly, bypassing dispatch) with tileOUsRef.
+func checkTileOUsTiers(t *testing.T, masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) {
+	t.Helper()
+	wantOUs, wantWL := tileOUsRef(masks, stride, slices, plane, groups, swl)
+	check := func(tier string, ous, wl int64) {
+		t.Helper()
+		if ous != wantOUs || wl != wantWL {
+			t.Fatalf("%s w=%d groups=%d stride=%d slices=%#x swl=%d: got (%d, %d) want (%d, %d)",
+				tier, len(plane)/max(groups, 1), groups, stride, slices, swl, ous, wl, wantOUs, wantWL)
+		}
+	}
+	ous, wl := TileOUs(masks, stride, slices, plane, groups, swl)
+	check("TileOUs", ous, wl)
+	if groups == 0 {
+		return
+	}
+	ous, wl = tileOUsGeneric(masks, stride, slices, plane, groups, swl)
+	check("tileOUsGeneric", ous, wl)
+	if !hasAVX2 || swl&(swl-1) != 0 {
+		return
+	}
+	switch len(plane) / groups {
+	case 1:
+		ous, wl = tileOUs1(masks, stride, slices, plane, swl)
+		check("tileOUs1 (AVX2)", ous, wl)
+	case 2:
+		ous, wl = tileOUs2(masks, stride, slices, plane, swl)
+		check("tileOUs2 (AVX2)", ous, wl)
+	}
+}
+
+func TestTileOUsMatchesReference(t *testing.T) {
+	r := xrand.New(10)
+	swls := []int{1, 2, 4, 16, 128, 3, 5, 12}
+	for _, w := range []int{1, 2, 3, 5} {
+		for groups := 1; groups <= 17; groups++ {
+			for spi := 1; spi <= 32; spi++ {
+				// All-ones data drives nz to 64·w (128 at two words).
+				fill := "random"
+				if (groups+spi)%4 == 0 {
+					fill = "ones"
+				}
+				for _, stride := range []int{w, w + 3} {
+					masks := kernelWords(r, (spi-1)*stride+w, fill)
+					plane := kernelWords(r, groups*w, fill)
+					all := uint64(1)<<uint(spi) - 1
+					for _, slices := range []uint64{0, all, r.Uint64() & all} {
+						for _, swl := range swls {
+							checkTileOUsTiers(t, masks, stride, slices, plane, groups, swl)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTileOUsEdges(t *testing.T) {
+	mask := []uint64{^uint64(0), ^uint64(0)}
+	if ous, wl := TileOUs(nil, 0, 0, nil, 0, 16); ous != 0 || wl != 0 {
+		t.Fatalf("empty tile: (%d, %d)", ous, wl)
+	}
+	// swl past 64·w counts one OU per non-empty group; nz+swl-1 would
+	// overflow at these.
+	for _, swl := range []int{math.MaxInt, 1 << 62} {
+		if ous, wl := TileOUs(mask, 2, 1, mask, 1, swl); ous != 1 || wl != 128 {
+			t.Fatalf("swl %d: (%d, %d), want (1, 128)", swl, ous, wl)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		masks  []uint64
+		stride int
+		slices uint64
+		plane  []uint64
+		groups int
+		swl    int
+	}{
+		{"plane not a multiple of groups", mask, 2, 1, mask[:1], 2, 16},
+		{"zero swl", mask, 2, 1, mask, 1, 0},
+		{"negative stride", mask, -1, 1, mask, 1, 16},
+		{"masks shorter than the top slice", mask, 2, 3, mask, 1, 16},
+		{"mask shorter than a group", mask[:1], 1, 1, mask, 1, 16},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", c.name)
+				}
+			}()
+			TileOUs(c.masks, c.stride, c.slices, c.plane, c.groups, c.swl)
+		}()
+	}
+}
+
+// FuzzTileOUs cross-checks every TileOUs tier with the reference on
+// shapes and contents derived from the fuzz input (words repeat the
+// data bytes, so short inputs still give dense masks).
+func FuzzTileOUs(f *testing.F) {
+	f.Add(uint8(1), uint8(8), uint8(15), uint8(0), uint16(15), ^uint64(0), []byte{0xff, 0x0f, 0x37})
+	f.Add(uint8(2), uint8(7), uint8(31), uint8(3), uint16(11), uint64(0x5a5a5a5a), []byte{0xff})
+	f.Add(uint8(4), uint8(17), uint8(4), uint8(1), uint16(127), uint64(1), make([]byte, 40))
+	f.Fuzz(func(t *testing.T, w8, g8, s8, pad8 uint8, swl16 uint16, slices uint64, data []byte) {
+		w := int(w8%5) + 1
+		groups := int(g8 % 18)
+		spi := int(s8%32) + 1
+		stride := w + int(pad8%4)
+		swl := int(swl16%200) + 1
+		slices &= uint64(1)<<uint(spi) - 1
+		words := make([]uint64, (spi-1)*stride+w+groups*w)
+		if len(data) > 0 {
+			for i := 0; i < 8*len(words); i++ {
+				words[i/8] |= uint64(data[i%len(data)]) << uint(8*(i%8))
+			}
+		}
+		masks, plane := words[:(spi-1)*stride+w], words[(spi-1)*stride+w:]
+		checkTileOUsTiers(t, masks, stride, slices, plane, groups, swl)
+	})
+}
+
+// tileOUsInput builds one design-point tile window for the TileOUs
+// benchmarks: rows activation codes, half of them zero, split into 16
+// one-bit slice masks at stride Words64(128), and a random 8-group plane.
+func tileOUsInput(rows int) (masks []uint64, stride int, slices uint64, plane []uint64) {
+	const spi, groups = 16, 8
+	r := xrand.New(5)
+	codes := make([]uint32, rows)
+	for i := range codes {
+		if r.Intn(2) == 1 {
+			codes[i] = uint32(r.Intn(1<<16)) >> uint(r.Intn(16))
+		}
+	}
+	stride, w := Words64(128), Words64(rows)
+	masks = make([]uint64, spi*stride)
+	heads := make([][]uint64, spi)
+	for s := range heads {
+		heads[s] = masks[s*stride : s*stride+w]
+	}
+	slices = BuildSliceMasks(codes, 1, heads)
+	return masks, stride, slices, kernelWords(r, groups*w, "random")
+}
+
+func benchmarkTileOUs(b *testing.B, rows int) {
+	masks, stride, slices, plane := tileOUsInput(rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ous, wl := TileOUs(masks, stride, slices, plane, 8, 16)
+		sinkInt += int(ous + wl)
+	}
+}
+
+// benchmarkPerSliceOUs times what TileOUs replaces in unmetered phase
+// 1 (and metered phase 1 still runs): one CountAndPlanes per non-empty
+// slice, then a per-group ceil(nz/S_WL) table lookup.
+func benchmarkPerSliceOUs(b *testing.B, rows int) {
+	masks, stride, slices, plane := tileOUsInput(rows)
+	w := Words64(rows)
+	counts := make([]int, 8)
+	ouTab := make([]int32, 129)
+	for nz := range ouTab {
+		ouTab[nz] = int32((nz + 15) / 16)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ous, wl int64
+		for s := 0; s < 16; s++ {
+			if slices&(1<<uint(s)) == 0 {
+				continue
+			}
+			CountAndPlanes(masks[s*stride:s*stride+w], plane, counts)
+			for _, nz := range counts {
+				if nz == 0 {
+					continue
+				}
+				ous += int64(ouTab[nz])
+				wl += int64(nz)
+			}
+		}
+		sinkInt += int(ous + wl)
+	}
+}
+
+func BenchmarkTileOUsW1(b *testing.B)     { benchmarkTileOUs(b, 64) }
+func BenchmarkTileOUsW2(b *testing.B)     { benchmarkTileOUs(b, 128) }
+func BenchmarkPerSliceOUsW1(b *testing.B) { benchmarkPerSliceOUs(b, 64) }
+func BenchmarkPerSliceOUsW2(b *testing.B) { benchmarkPerSliceOUs(b, 128) }

@@ -56,6 +56,44 @@ func CountAndPlanes(mask, plane []uint64, counts []int) {
 	countAndPlanesGeneric(mask, plane, counts)
 }
 
+// TileOUs returns one crossbar tile's Dynamic-OU-Formation totals for
+// one window, fusing CountAndPlanes with the OU count over all of the
+// window's activation bit slices. plane holds groups column groups of
+// w = len(plane)/groups words each; masks holds the slice masks, slice
+// s at masks[s·stride : s·stride+w]. For every slice s set in slices
+// and every group g, with nz = popcount(slice s ∩ group g), ous sums
+// ceil(nz/swl) and wl sums nz. Dispatch is shape-aware (kernel.go):
+// one- and two-word groups at a power-of-two swl take the AVX2 tier
+// when available; everything else takes the portable tier.
+func TileOUs(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+	if groups < 0 || swl <= 0 || stride < 0 || (groups > 0 && len(plane)%groups != 0) ||
+		(groups == 0 && len(plane) != 0) {
+		panic("bitset: TileOUs bad shape")
+	}
+	if slices == 0 || len(plane) == 0 {
+		return 0, 0
+	}
+	w := len(plane) / groups
+	if top := 63 - bits.LeadingZeros64(slices); w > len(masks) || (top > 0 && stride > (len(masks)-w)/top) {
+		panic("bitset: TileOUs masks shorter than the highest slice")
+	}
+	// nz never exceeds 64·w, so every larger swl counts one OU per
+	// non-empty group, exactly as swl = 64·w does; clamping keeps the
+	// ceiling's bias from overflowing.
+	if max := 64 * w; swl > max {
+		swl = max
+	}
+	if hasAVX2 && swl&(swl-1) == 0 {
+		switch w {
+		case 1:
+			return tileOUs1(masks, stride, slices, plane, swl)
+		case 2:
+			return tileOUs2(masks, stride, slices, plane, swl)
+		}
+	}
+	return tileOUsGeneric(masks, stride, slices, plane, groups, swl)
+}
+
 // BuildSliceMasks derives every activation bit-slice mask from one
 // window's quantized codes in a single sweep: bit i of masks[s] is set
 // iff codes[i] has a non-zero dacBits-wide digit at slice s. Each

@@ -118,12 +118,17 @@ func (ls *layerScratch) tileAccs(n int) []tileAcc {
 
 // p1Scratch is one phase-1 worker's scratch block: the window code
 // buffer, the (row block, slice) mask plane and its per-block headers,
-// the per-group count buffers, and the occupancy tally of metered
-// runs. The layout stamp (lay, spi) identifies the shapes; a recycled
-// block with a matching stamp is reused as-is because every buffer is
-// fully overwritten per window (BuildSliceMasks rewrites each mask's
-// words, CountAndPlanes rewrites the counts) and the tally is zeroed by
-// the flush that ends every chunk.
+// the per-group count buffer and occupancy tally of metered runs, and
+// the per-slice row counts of Baseline-scheme runs. backing lays row
+// block rb's masks out as one block, slice s at (rb·spi+s)·maxWords
+// with maxWords = Words64(XbarRows), the layout of the cached mask
+// plane too, so an unmetered run hands either block to bitset.TileOUs
+// as is; the headers in masks cut the same words per slice for
+// BuildSliceMasks. The layout stamp (lay, spi) identifies the shapes;
+// a recycled block with a matching stamp is reused as-is because every
+// buffer is fully overwritten per window (BuildSliceMasks rewrites
+// each mask's words, CountAndPlanes rewrites the counts) and the tally
+// is zeroed by the flush that ends every chunk.
 type p1Scratch struct {
 	lay mapping.Layout
 	spi int

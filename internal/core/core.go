@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"sre/internal/bitset"
@@ -899,18 +900,24 @@ type p1Input struct {
 // index). For each window it derives all activation bit-slice masks in
 // one sweep (bitset.BuildSliceMasks) — or reads them straight from the
 // input's cached mask plane — then counts every column group's
-// retained-row intersection with one fused pass per slice over the
-// tile's cached word plane (bitset.CountAndPlanes). Scratch comes from
+// retained-row intersection against the tile's cached word plane. An
+// unmetered run makes one fused call per (window, tile)
+// (bitset.TileOUs), which sums the OUs and driven wordlines over all
+// slices and groups at once. A metered run (msh non-nil) needs each
+// group's count for the occupancy histogram, so it keeps one
+// bitset.CountAndPlanes pass per slice, tallies occupancy in the
+// scratch and flushes the tally into msh once per chunk. The sums are
+// integers, so both paths give identical results. Scratch comes from
 // the phase-1 arena (checked out per shard or dynamic chunk) and every
 // result lands in a disjoint work slot, so the phase stays
-// bit-identical at any worker count. Metered runs (msh non-nil) tally
-// occupancy in the scratch and flush it into msh once per chunk.
+// bit-identical at any worker count.
 func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	work []batchWork, sampled, windows int, inputs []p1Input, msh *metrics.Shard) func(start, end int) {
 	lay := l.Struct.Layout
 	g := cfg.Geometry
 	spi := cfg.Quant.SlicesPerInput()
 	nTiles := lay.RowBlocks * lay.ColBlocks
+	maxWords := bitset.Words64(lay.XbarRows)
 	baseline := cfg.Mode.Scheme == compress.Baseline
 	am := arenaMetrics{
 		gets: msh.Counter(`sre_core_arena_gets_total{arena="phase1"}`),
@@ -965,7 +972,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 					if baseline {
 						for s := 0; s < spi; s++ {
 							nz := 0
-							if s >= 64 || nonEmpty[rb]&(1<<uint(s)) != 0 {
+							if nonEmpty[rb]&(1<<uint(s)) != 0 {
 								nz = bitset.CountWords(masks[rb][s])
 							}
 							sliceNZ[rb*spi+s] = nz
@@ -974,20 +981,28 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				}
 			}
 			for rb := range plans {
-				ne := nonEmpty[rb]
-				mbase, tw := 0, 0
+				// The row block's slice masks: slice s at s·maxWords, the
+				// layout of both the scratch and the cached plane. ne, its
+				// non-empty bitmap, names every slice: quant.Validate
+				// bounds spi at 32.
+				ne, block := nonEmpty[rb], scr.backing[rb*spi*maxWords:(rb+1)*spi*maxWords]
+				mbase, tw := 0, bitset.Words64(lay.TileRows(rb))
 				if mp != nil {
 					mbase = (wi*lay.RowBlocks + rb) * spi
 					ne = mp.nonEmpty[wi*lay.RowBlocks+rb]
-					tw = bitset.Words64(lay.TileRows(rb))
+					block = mp.words[mbase*maxWords : (mbase+spi)*maxWords]
 				}
 				for cb := range plans[rb] {
 					tp := &plans[rb][cb]
+					slot := idx*nTiles + rb*lay.ColBlocks + cb
+					if !baseline && occ == nil {
+						ous, wl := bitset.TileOUs(block, maxWords, ne, tp.plans.Plane, tp.plans.Groups, g.SWL)
+						work[slot] = batchWork{ous, wl}
+						continue
+					}
 					var batchOUs, batchWL int64
-					for s := 0; s < spi; s++ {
-						if s < 64 && ne&(1<<uint(s)) == 0 {
-							continue
-						}
+					for sl := ne; sl != 0; sl &= sl - 1 {
+						s := bits.TrailingZeros64(sl)
 						if baseline {
 							var nz int
 							if mp != nil {
@@ -1005,24 +1020,19 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							}
 							continue
 						}
-						m := masks[rb][s]
-						if mp != nil {
-							m = mp.mask(mbase+s, tw)
-						}
+						// Metered: each group's count feeds the tally.
 						cnt := counts[:tp.plans.Groups]
-						bitset.CountAndPlanes(m, tp.plans.Plane, cnt)
+						bitset.CountAndPlanes(block[s*maxWords:s*maxWords+tw], tp.plans.Plane, cnt)
 						for _, nz := range cnt {
 							if nz == 0 {
 								continue
 							}
 							batchOUs += int64(ouTab[nz])
 							batchWL += int64(nz)
-							if occ != nil {
-								tally[nz]++
-							}
+							tally[nz]++
 						}
 					}
-					work[idx*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
+					work[slot] = batchWork{batchOUs, batchWL}
 				}
 			}
 		}

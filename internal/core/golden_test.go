@@ -25,13 +25,18 @@ func (c *cloneableSource) CloneSource() ActivationSource {
 // two column blocks, sparse weights and activations, several windows.
 func goldenLayer(t *testing.T) Layer {
 	t.Helper()
-	p := quant.Default()
-	g := mapping.Default()
-	st, _, _ := smallCase(13, 200, 20, p, g, 0.65, 0)
-	r := xrand.New(17)
+	return buildGoldenLayer("golden", 200, 20, mapping.Default(), 13, 17)
+}
+
+// buildGoldenLayer builds a rows×cols layer under geometry g with
+// sparse weights (weight stream seed wSeed) and 9 windows of sparse
+// 16-bit activations (stream seed aSeed).
+func buildGoldenLayer(name string, rows, cols int, g mapping.Geometry, wSeed, aSeed uint64) Layer {
+	st, _, _ := smallCase(wSeed, rows, cols, quant.Default(), g, 0.65, 0)
+	r := xrand.New(aSeed)
 	src := &cloneableSource{}
 	for w := 0; w < 9; w++ {
-		v := make([]uint32, 200)
+		v := make([]uint32, rows)
 		for i := range v {
 			if !r.Bernoulli(0.55) {
 				v[i] = uint32(r.Intn(1 << 16))
@@ -39,7 +44,57 @@ func goldenLayer(t *testing.T) Layer {
 		}
 		src.rows = append(src.rows, v)
 	}
-	return Layer{Name: "golden", Struct: st, Acts: src}
+	return Layer{Name: name, Struct: st, Acts: src}
+}
+
+// TestGoldenTailShapes covers the tile shapes goldenLayer never builds:
+// 180 rows → a 128-row block and a one-word 52-row tail, 22 logical
+// columns → 176 physical → column blocks of 8 and 3 (odd) groups, and
+// a non-power-of-two OU (12, giving 11 and 4 groups), which takes the
+// portable TileOUs tier. For every mode and worker count the unmetered
+// kernel (one fused TileOUs call per tile-window), the metered kernel
+// (per-slice, per-group counts for the occupancy tally) and the scalar
+// reference must give equal LayerResults.
+func TestGoldenTailShapes(t *testing.T) {
+	ctx := context.Background()
+	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
+	for _, ou := range []int{16, 12} {
+		geom := mapping.Default().WithOU(ou)
+		layer := buildGoldenLayer("golden-tail", 180, 22, geom, 19, 23)
+		lay := layer.Struct.Layout
+		if lay.RowBlocks != 2 || lay.TileRows(1) != 52 || lay.ColBlocks != 2 ||
+			lay.GroupsInTile(1) != (48+ou-1)/ou {
+			t.Fatalf("OU %d: unexpected layout %+v", ou, lay)
+		}
+		for _, mode := range modes {
+			for _, workers := range []int{1, 4} {
+				cfg := DefaultConfig()
+				cfg.Geometry = geom
+				cfg.Mode = mode
+				cfg.MaxWindows = 0
+				cfg.Workers = workers
+				plain, err := SimulateLayerContext(ctx, layer, cfg)
+				if err != nil {
+					t.Fatalf("OU %d %v workers=%d unmetered: %v", ou, mode, workers, err)
+				}
+				cfg.Metrics = metrics.NewRegistry()
+				metered, err := SimulateLayerContext(ctx, layer, cfg)
+				if err != nil {
+					t.Fatalf("OU %d %v workers=%d metered: %v", ou, mode, workers, err)
+				}
+				cfg.Metrics = nil
+				cfg.ScalarReference = true
+				scalar, err := SimulateLayerContext(ctx, layer, cfg)
+				if err != nil {
+					t.Fatalf("OU %d %v workers=%d scalar: %v", ou, mode, workers, err)
+				}
+				if plain != metered || plain != scalar {
+					t.Fatalf("OU %d %v workers=%d: unmetered %+v, metered %+v, scalar %+v",
+						ou, mode, workers, plain, metered, scalar)
+				}
+			}
+		}
+	}
 }
 
 // TestGoldenKernelMatchesScalar is the tentpole's bit-identity proof:

@@ -46,24 +46,17 @@ type maskPlaneEntry struct {
 
 // maskPlane is one built entry: a window-major structure-of-arrays
 // flattening of every sampled window's slice masks. The mask words of
-// (window wi, row block rb, slice s) live at index
-// ((wi·rowBlocks+rb)·spi+s)·maxWords, padded to the full-tile word
-// count so offsets are uniform; nonEmpty and sliceNZ are indexed by
-// the same (wi·rowBlocks+rb) and ((wi·rowBlocks+rb)·spi+s) keys.
+// (window wi, row block rb, slice s) start at index
+// ((wi·rowBlocks+rb)·spi+s)·maxWords, with maxWords =
+// Words64(XbarRows): padded to the full-tile word count so offsets are
+// uniform, and laid out exactly like a phase-1 scratch's row-block mask
+// block, so phase 1 reads either in place. nonEmpty and sliceNZ are
+// indexed by the same (wi·rowBlocks+rb) and ((wi·rowBlocks+rb)·spi+s)
+// keys.
 type maskPlane struct {
-	words     []uint64
-	nonEmpty  []uint64
-	sliceNZ   []int32
-	rowBlocks int
-	spi       int
-	maxWords  int
-}
-
-// mask returns the mask words for flat index idx =
-// (wi·rowBlocks+rb)·spi+s, trimmed to the tile's w words.
-func (mp *maskPlane) mask(idx, w int) []uint64 {
-	off := idx * mp.maxWords
-	return mp.words[off : off+w : off+w]
+	words    []uint64
+	nonEmpty []uint64
+	sliceNZ  []int32
 }
 
 // maskCacheMetrics carries the mask-cache observability counters
@@ -101,12 +94,9 @@ func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacB
 	e.once.Do(func() {
 		m.builds.Inc()
 		mp := &maskPlane{
-			words:     make([]uint64, total),
-			nonEmpty:  make([]uint64, sampled*lay.RowBlocks),
-			sliceNZ:   make([]int32, sampled*lay.RowBlocks*spi),
-			rowBlocks: lay.RowBlocks,
-			spi:       spi,
-			maxWords:  maxWords,
+			words:    make([]uint64, total),
+			nonEmpty: make([]uint64, sampled*lay.RowBlocks),
+			sliceNZ:  make([]int32, sampled*lay.RowBlocks*spi),
 		}
 		heads := make([][]uint64, spi)
 		for wi := 0; wi < sampled; wi++ {
@@ -123,7 +113,7 @@ func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacB
 				ne := bitset.BuildSliceMasks(codes[lo:hi], dacBits, heads)
 				mp.nonEmpty[wi*lay.RowBlocks+rb] = ne
 				for s := 0; s < spi; s++ {
-					if s >= 64 || ne&(1<<uint(s)) != 0 {
+					if ne&(1<<uint(s)) != 0 {
 						mp.sliceNZ[base+s] = int32(bitset.CountWords(heads[s]))
 					}
 				}

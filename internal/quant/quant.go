@@ -17,6 +17,7 @@
 package quant
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -35,11 +36,19 @@ type Params struct {
 // cells, 1-bit DACs.
 func Default() Params { return Params{WBits: 16, ABits: 16, CellBits: 2, DACBits: 1} }
 
-// Validate checks the decomposition divides evenly.
+// ErrCodeWidth reports a WBits or ABits above 32, which a uint32 code
+// cannot hold (its top bits, and the slices that would carry them,
+// could never be set).
+var ErrCodeWidth = errors.New("quant: code width above 32 bits")
+
+// Validate checks the code widths fit a uint32 and the decomposition
+// divides evenly.
 func (p Params) Validate() error {
 	switch {
 	case p.WBits <= 0 || p.ABits <= 0 || p.CellBits <= 0 || p.DACBits <= 0:
 		return fmt.Errorf("quant: non-positive field in %+v", p)
+	case p.WBits > 32 || p.ABits > 32:
+		return fmt.Errorf("%w: WBits %d, ABits %d", ErrCodeWidth, p.WBits, p.ABits)
 	case p.WBits%p.CellBits != 0:
 		return fmt.Errorf("quant: WBits %d not divisible by CellBits %d", p.WBits, p.CellBits)
 	case p.ABits%p.DACBits != 0:

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -22,6 +23,33 @@ func TestValidate(t *testing.T) {
 	for _, p := range bad {
 		if p.Validate() == nil {
 			t.Fatalf("Validate accepted %+v", p)
+		}
+	}
+}
+
+// TestValidateCodeWidth pins the uint32 code bound: widths up to 32
+// bits validate, wider ones fail with ErrCodeWidth (a 40-bit code would
+// quantize to 2³²−1, not 2⁴⁰−1, and its top 8 slices could never be
+// driven).
+func TestValidateCodeWidth(t *testing.T) {
+	for _, c := range []struct {
+		p       Params
+		wantErr bool
+	}{
+		{Params{WBits: 32, ABits: 32, CellBits: 2, DACBits: 1}, false},
+		{Params{WBits: 16, ABits: 32, CellBits: 2, DACBits: 4}, false},
+		{Params{WBits: 16, ABits: 40, CellBits: 2, DACBits: 1}, true},
+		{Params{WBits: 40, ABits: 16, CellBits: 2, DACBits: 1}, true},
+		{Params{WBits: 34, ABits: 16, CellBits: 2, DACBits: 1}, true},
+		{Params{WBits: 16, ABits: 33, CellBits: 2, DACBits: 1}, true},
+		{Params{WBits: 64, ABits: 64, CellBits: 16, DACBits: 16}, true},
+	} {
+		err := c.p.Validate()
+		if got := errors.Is(err, ErrCodeWidth); got != c.wantErr {
+			t.Errorf("Validate(%+v) = %v, want ErrCodeWidth: %v", c.p, err, c.wantErr)
+		}
+		if !c.wantErr && err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c.p, err)
 		}
 	}
 }

@@ -193,6 +193,7 @@ func TestSimulateRequestValidation(t *testing.T) {
 		{`{"network":"MNIST","mode":"warp-drive"}`, http.StatusBadRequest},        // bad mode
 		{`{"network":"MNIST","mode":"orc","prune":"zap"}`, http.StatusBadRequest}, // bad prune
 		{`{"network":"MNIST","mode":"orc","config":{"crossbar":-4}}`, http.StatusBadRequest},
+		{`{"network":"MNIST","mode":"orc+dof","config":{"act_bits":40}}`, http.StatusBadRequest}, // codes are uint32
 		{`not json`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

@@ -25,11 +25,11 @@ BENCH_COUNT ?= 1
 # The benchmark set `make bench` records: the per-mode simulator
 # kernels and the six-mode VGG-16 sweep in the root package, plus the
 # popcount-kernel and plane-construction microbenches in
-# internal/bitset (with the fused TileOUs kernel beside the per-slice
-# loop it replaced) so kernel-dispatch regressions show up in the same
-# trajectory record.
+# internal/bitset (the fused TileOUs kernel with and without the
+# metered fill tally) so kernel-dispatch regressions show up in the
+# same trajectory record.
 BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkVGG16Sweep|BenchmarkBatchedSweep
-BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks|BenchmarkTileOUs|BenchmarkPerSliceOUs
+BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks|BenchmarkTileOUs
 
 .PHONY: all build fmt-check vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-sweep bench-compare bench-coldstart bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 

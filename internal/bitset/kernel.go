@@ -8,7 +8,9 @@
 //     word plane, for callers that need each group's count;
 //   - TileOUs: CountAndPlanes fused with the OU count over every set
 //     slice of a tile-window, returning only the two sums
-//     Σ ceil(count/swl) and Σ count.
+//     Σ ceil(count/swl) and Σ count and, when asked, a nine-class
+//     tally of the partial OUs' fill (the occupancy histogram's
+//     buckets), so no caller needs per-group counts.
 //
 // The tiers are:
 //
@@ -23,7 +25,8 @@
 // count (popcount) or for the plane widths the simulator actually hits
 // in its hot loop (W == 1 and W == 2 words per group, i.e. crossbar
 // tiles of up to 128 rows; TileOUs also needs a power-of-two swl, so
-// the ceiling is a shift). Everything else takes the portable tier.
+// the ceiling is a shift, and swl ≤ 64·W when it tallies fill
+// classes). Everything else takes the portable tier.
 // All tiers are bit-identical by construction (they compute exact
 // integer counts and sums), and kernel_test.go + fuzz targets enforce
 // agreement on ragged lengths, group tails and degenerate planes.
@@ -110,15 +113,27 @@ func countAndPlanesGeneric(mask, plane []uint64, counts []int) {
 // slice with no counts buffer, specialized like countAndPlanesGeneric
 // for one- and two-word groups. A power-of-two swl (every OU size the
 // paper evaluates) turns the ceiling division into a shift; other
-// sizes pay a division per group.
-func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+// sizes pay a division per group. With part non-nil each group with a
+// remainder r = nz mod swl is classified by bits.Len(r-1).
+func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int, part *[9]int64) (ous, wl int64) {
 	w := len(plane) / groups
-	bias, shift, pow2 := swl-1, uint(bits.TrailingZeros(uint(swl))), swl&(swl-1) == 0
-	ceil := func(nz int) int {
+	// nz never exceeds 64·w, so every larger swl counts one OU per
+	// non-empty group, exactly as swl = 64·w does; clamping keeps the
+	// ceiling's bias from overflowing. The fill tally keeps the real
+	// swl: under S_WL 128, 64 rows driven in a one-word group are one
+	// partial OU of fill 64, not a full one.
+	ouSWL := min(swl, 64*w)
+	bias, shift, pow2 := ouSWL-1, uint(bits.TrailingZeros(uint(ouSWL))), ouSWL&(ouSWL-1) == 0
+	count := func(nz int) int {
+		if part != nil {
+			if r := nz % swl; r > 0 {
+				part[min(bits.Len(uint(r-1)), 8)]++
+			}
+		}
 		if pow2 {
 			return (nz + bias) >> (shift & 63)
 		}
-		return (nz + bias) / swl
+		return (nz + bias) / ouSWL
 	}
 	for sl := slices; sl != 0; sl &= sl - 1 {
 		off := bits.TrailingZeros64(sl) * stride
@@ -129,14 +144,14 @@ func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, g
 			m0 := m[0]
 			for _, p := range plane {
 				nz := bits.OnesCount64(m0 & p)
-				sOUs += ceil(nz)
+				sOUs += count(nz)
 				sWL += nz
 			}
 		case 2:
 			m0, m1 := m[0], m[1]
 			for g := 0; g+1 < len(plane); g += 2 {
 				nz := bits.OnesCount64(m0&plane[g]) + bits.OnesCount64(m1&plane[g+1])
-				sOUs += ceil(nz)
+				sOUs += count(nz)
 				sWL += nz
 			}
 		default:
@@ -145,7 +160,7 @@ func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, g
 				for i, gw := range plane[g : g+w : g+w] {
 					nz += bits.OnesCount64(m[i] & gw)
 				}
-				sOUs += ceil(nz)
+				sOUs += count(nz)
 				sWL += nz
 			}
 		}

@@ -87,43 +87,71 @@ func countAndPlanes2(mask, plane []uint64, counts []int) {
 
 // tileOUs1AVX2 is TileOUs for one-word groups at swl = 1<<shift,
 // 4 groups per vector iteration; groups must be a positive multiple
-// of 4 and stride is in words.
+// of 4 and stride is in words. A non-nil tot also gets, for each
+// threshold t_j of [0 1 2 4 8 16 32 64], the groups whose remainder
+// r = nz mod swl exceeds t_j added to tot[j]; that needs swl ≤ 128
+// and groups ≤ partGroupsAVX2.
 //
 //go:noescape
-func tileOUs1AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+func tileOUs1AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int, tot *[8]uint32) (ous, wl int64)
 
-// tileOUs2AVX2 is TileOUs for two-word groups at swl = 1<<shift,
-// 4 groups (two vectors) per iteration; groups must be a positive
-// multiple of 4 and stride is in words.
+// tileOUs2AVX2 is tileOUs1AVX2 for two-word groups, 4 groups (two
+// vectors) per iteration.
 //
 //go:noescape
-func tileOUs2AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int) (ous, wl int64)
+func tileOUs2AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int, tot *[8]uint32) (ous, wl int64)
 
-// tileOUs1 dispatches the one-word-per-group TileOUs shape: AVX2 over
-// the 4-aligned group prefix, the portable tier for the tail groups.
-func tileOUs1(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
-	g4 := len(plane) &^ 3
-	if g4 > 0 {
-		ous, wl = tileOUs1AVX2(&masks[0], stride, slices, &plane[0], g4, bits.TrailingZeros(uint(swl)))
+// partGroupsAVX2 caps the groups of one fill-tallying assembly call.
+// Each of the four qword lanes counts one group per iteration into byte
+// counters that are summed across the lanes once per slice, so 252
+// groups keep every byte sum at 4·63 = 252 < 256.
+const partGroupsAVX2 = 252
+
+// tileOUsAVX2 dispatches the one- and two-word-per-group TileOUs
+// shapes (w words per group) at a power-of-two min(swl, 64·w): the
+// AVX2 kernel over the 4-aligned group prefix, the portable tier for
+// the tail groups. A non-nil part also needs swl ≤ 64·w, which keeps
+// every remainder nz mod swl at most 127.
+func tileOUsAVX2(masks []uint64, stride int, slices uint64, plane []uint64, groups, w, swl int, part *[9]int64) (ous, wl int64) {
+	g4 := groups &^ 3
+	shift := bits.TrailingZeros(uint(min(swl, 64*w)))
+	switch {
+	case g4 == 0:
+	case part != nil:
+		ous, wl = tileOUsTallyAVX2(masks, stride, slices, plane, g4, w, shift, part)
+	case w == 1:
+		ous, wl = tileOUs1AVX2(&masks[0], stride, slices, &plane[0], g4, shift, nil)
+	default:
+		ous, wl = tileOUs2AVX2(&masks[0], stride, slices, &plane[0], g4, shift, nil)
 	}
-	if g4 < len(plane) {
-		o, w := tileOUsGeneric(masks, stride, slices, plane[g4:], len(plane)-g4, swl)
-		ous, wl = ous+o, wl+w
+	if g4 < groups {
+		o, l := tileOUsGeneric(masks, stride, slices, plane[g4*w:], groups-g4, swl, part)
+		ous, wl = ous+o, wl+l
 	}
 	return ous, wl
 }
 
-// tileOUs2 dispatches the two-word-per-group TileOUs shape: AVX2 over
-// the 4-aligned group prefix, the portable tier for the tail groups.
-func tileOUs2(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
-	groups := len(plane) / 2
-	g4 := groups &^ 3
-	if g4 > 0 {
-		ous, wl = tileOUs2AVX2(&masks[0], stride, slices, &plane[0], g4, bits.TrailingZeros(uint(swl)))
+// tileOUsTallyAVX2 runs the fill-tallying AVX2 kernel over the first
+// g4 groups (a positive multiple of 4) of a w-word plane, in calls of
+// at most partGroupsAVX2 groups, and adds their fill classes to part.
+func tileOUsTallyAVX2(masks []uint64, stride int, slices uint64, plane []uint64, g4, w, shift int, part *[9]int64) (ous, wl int64) {
+	var tot [8]uint32
+	for g := 0; g < g4; g += partGroupsAVX2 {
+		n := min(partGroupsAVX2, g4-g)
+		var o, l int64
+		if w == 1 {
+			o, l = tileOUs1AVX2(&masks[0], stride, slices, &plane[g], n, shift, &tot)
+		} else {
+			o, l = tileOUs2AVX2(&masks[0], stride, slices, &plane[2*g], n, shift, &tot)
+		}
+		ous, wl = ous+o, wl+l
 	}
-	if g4 < groups {
-		o, w := tileOUsGeneric(masks, stride, slices, plane[2*g4:], groups-g4, swl)
-		ous, wl = ous+o, wl+w
+	// tot[j] counts the remainders above t_j, so fill class k,
+	// (2^(k-1), 2^k], holds tot[k] - tot[k+1]; r <= 127 leaves class 8
+	// empty.
+	for k := 0; k < 7; k++ {
+		part[k] += int64(tot[k]) - int64(tot[k+1])
 	}
+	part[7] += int64(tot[7])
 	return ous, wl
 }

@@ -18,10 +18,6 @@ func countAndPlanes2(mask, plane []uint64, counts []int) {
 	panic("bitset: no AVX2 tier in this build")
 }
 
-func tileOUs1(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
-	panic("bitset: no AVX2 tier in this build")
-}
-
-func tileOUs2(masks []uint64, stride int, slices uint64, plane []uint64, swl int) (ous, wl int64) {
+func tileOUsAVX2(masks []uint64, stride int, slices uint64, plane []uint64, groups, w, swl int, part *[9]int64) (ous, wl int64) {
 	panic("bitset: no AVX2 tier in this build")
 }

@@ -233,10 +233,12 @@ func BenchmarkCountAndPlanesW2(b *testing.B) { benchmarkCountAndPlanes(b, 2, 16)
 func BenchmarkCountAndPlanesW8(b *testing.B) { benchmarkCountAndPlanes(b, 8, 16) }
 
 // tileOUsRef is the golden-reference TileOUs: phase 1's original
-// per-slice, per-group scalar loop with a true ceiling division.
-func tileOUsRef(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+// per-slice, per-group scalar loop with a true ceiling division, plus
+// the fill classes counted by comparing each remainder with the
+// powers of two.
+func tileOUsRef(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64, part [9]int64) {
 	if groups == 0 {
-		return 0, 0
+		return 0, 0, part
 	}
 	w := len(plane) / groups
 	for s := 0; s < 64; s++ {
@@ -250,40 +252,54 @@ func tileOUsRef(masks []uint64, stride int, slices uint64, plane []uint64, group
 			}
 			wl += int64(nz)
 			ous += int64((nz + swl - 1) / swl)
+			if r := nz % swl; r > 0 {
+				k := 0
+				for k < 8 && r > 1<<k {
+					k++
+				}
+				part[k]++
+			}
 		}
 	}
-	return ous, wl
+	return ous, wl, part
 }
 
 // checkTileOUsTiers compares TileOUs and every tier that accepts the
-// shape (called directly, bypassing dispatch) with tileOUsRef.
+// shape (called directly, bypassing dispatch) with tileOUsRef. Each is
+// called with a nil part and with a fill tally; both calls must return
+// the reference (ous, wl), and the tally the reference classes.
 func checkTileOUsTiers(t *testing.T, masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) {
 	t.Helper()
-	wantOUs, wantWL := tileOUsRef(masks, stride, slices, plane, groups, swl)
-	check := func(tier string, ous, wl int64) {
+	wantOUs, wantWL, wantPart := tileOUsRef(masks, stride, slices, plane, groups, swl)
+	w := len(plane) / max(groups, 1)
+	check := func(tier string, tally bool, tileOUs func(part *[9]int64) (ous, wl int64)) {
 		t.Helper()
-		if ous != wantOUs || wl != wantWL {
+		if ous, wl := tileOUs(nil); ous != wantOUs || wl != wantWL {
 			t.Fatalf("%s w=%d groups=%d stride=%d slices=%#x swl=%d: got (%d, %d) want (%d, %d)",
-				tier, len(plane)/max(groups, 1), groups, stride, slices, swl, ous, wl, wantOUs, wantWL)
+				tier, w, groups, stride, slices, swl, ous, wl, wantOUs, wantWL)
+		}
+		if !tally {
+			return
+		}
+		var part [9]int64
+		if ous, wl := tileOUs(&part); ous != wantOUs || wl != wantWL || part != wantPart {
+			t.Fatalf("%s w=%d groups=%d stride=%d slices=%#x swl=%d, tallied: got (%d, %d) %v want (%d, %d) %v",
+				tier, w, groups, stride, slices, swl, ous, wl, part, wantOUs, wantWL, wantPart)
 		}
 	}
-	ous, wl := TileOUs(masks, stride, slices, plane, groups, swl)
-	check("TileOUs", ous, wl)
+	check("TileOUs", true, func(part *[9]int64) (int64, int64) {
+		return TileOUs(masks, stride, slices, plane, groups, swl, part)
+	})
 	if groups == 0 {
 		return
 	}
-	ous, wl = tileOUsGeneric(masks, stride, slices, plane, groups, swl)
-	check("tileOUsGeneric", ous, wl)
-	if !hasAVX2 || swl&(swl-1) != 0 {
-		return
-	}
-	switch len(plane) / groups {
-	case 1:
-		ous, wl = tileOUs1(masks, stride, slices, plane, swl)
-		check("tileOUs1 (AVX2)", ous, wl)
-	case 2:
-		ous, wl = tileOUs2(masks, stride, slices, plane, swl)
-		check("tileOUs2 (AVX2)", ous, wl)
+	check("tileOUsGeneric", true, func(part *[9]int64) (int64, int64) {
+		return tileOUsGeneric(masks, stride, slices, plane, groups, swl, part)
+	})
+	if ouSWL := min(swl, 64*w); hasAVX2 && (w == 1 || w == 2) && ouSWL&(ouSWL-1) == 0 {
+		check("tileOUsAVX2", swl <= 64*w, func(part *[9]int64) (int64, int64) {
+			return tileOUsAVX2(masks, stride, slices, plane, groups, w, swl, part)
+		})
 	}
 }
 
@@ -293,7 +309,10 @@ func TestTileOUsMatchesReference(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 5} {
 		for groups := 1; groups <= 17; groups++ {
 			for spi := 1; spi <= 32; spi++ {
-				// All-ones data drives nz to 64·w (128 at two words).
+				// All-ones data drives nz to 64·w (128 at two words). At
+				// w = 1 and swl 128 that is the clamp case: the OU count
+				// clamps swl to 64, but each group is one partial OU of
+				// fill 64, not a full one.
 				fill := "random"
 				if (groups+spi)%4 == 0 {
 					fill = "ones"
@@ -313,17 +332,52 @@ func TestTileOUsMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTileOUsManyGroups covers group counts past one fill-tallying
+// AVX2 call (partGroupsAVX2 = 252): 253 groups leave a one-group tail
+// after a full call, 520 take three calls. Besides all-ones and random
+// data, it clears one row of every group, so at each power-of-two
+// swl ≤ 64·w every group leaves the remainder swl-1 and the byte
+// counters reach their per-slice maximum.
+func TestTileOUsManyGroups(t *testing.T) {
+	r := xrand.New(11)
+	const spi = 32
+	for _, w := range []int{1, 2} {
+		for _, groups := range []int{253, 520} {
+			for _, fill := range []string{"ones", "ones but one row", "random"} {
+				masks := kernelWords(r, spi*w, "ones")
+				plane := kernelWords(r, groups*w, fill)
+				if fill == "ones but one row" {
+					plane = kernelWords(r, groups*w, "ones")
+					for g := 0; g < groups; g++ {
+						plane[g*w] &^= 1
+					}
+				}
+				for _, swl := range []int{1, 2, 16, 64, 128, 12} {
+					checkTileOUsTiers(t, masks, w, 1<<spi-1, plane, groups, swl)
+				}
+			}
+		}
+	}
+}
+
 func TestTileOUsEdges(t *testing.T) {
 	mask := []uint64{^uint64(0), ^uint64(0)}
-	if ous, wl := TileOUs(nil, 0, 0, nil, 0, 16); ous != 0 || wl != 0 {
+	if ous, wl := TileOUs(nil, 0, 0, nil, 0, 16, nil); ous != 0 || wl != 0 {
 		t.Fatalf("empty tile: (%d, %d)", ous, wl)
 	}
 	// swl past 64·w counts one OU per non-empty group; nz+swl-1 would
-	// overflow at these.
+	// overflow at these. The 128 driven rows are one partial OU.
 	for _, swl := range []int{math.MaxInt, 1 << 62} {
-		if ous, wl := TileOUs(mask, 2, 1, mask, 1, swl); ous != 1 || wl != 128 {
-			t.Fatalf("swl %d: (%d, %d), want (1, 128)", swl, ous, wl)
+		var part [9]int64
+		if ous, wl := TileOUs(mask, 2, 1, mask, 1, swl, &part); ous != 1 || wl != 128 || part != [9]int64{7: 1} {
+			t.Fatalf("swl %d: (%d, %d) %v, want (1, 128) [0 0 0 0 0 0 0 1 0]", swl, ous, wl, part)
 		}
+	}
+	// The clamp case by name: w = 1, swl 128, all ones. The OU count
+	// clamps swl to 64, yet the group is one partial OU of fill 64.
+	var part [9]int64
+	if ous, wl := TileOUs(mask[:1], 1, 1, mask[:1], 1, 128, &part); ous != 1 || wl != 64 || part != [9]int64{6: 1} {
+		t.Fatalf("one word at swl 128: (%d, %d) %v, want (1, 64) [0 0 0 0 0 0 1 0 0]", ous, wl, part)
 	}
 	for _, c := range []struct {
 		name   string
@@ -346,14 +400,15 @@ func TestTileOUsEdges(t *testing.T) {
 					t.Errorf("%s: no panic", c.name)
 				}
 			}()
-			TileOUs(c.masks, c.stride, c.slices, c.plane, c.groups, c.swl)
+			TileOUs(c.masks, c.stride, c.slices, c.plane, c.groups, c.swl, nil)
 		}()
 	}
 }
 
 // FuzzTileOUs cross-checks every TileOUs tier with the reference on
 // shapes and contents derived from the fuzz input (words repeat the
-// data bytes, so short inputs still give dense masks).
+// data bytes, so short inputs still give dense masks), fill classes
+// included.
 func FuzzTileOUs(f *testing.F) {
 	f.Add(uint8(1), uint8(8), uint8(15), uint8(0), uint16(15), ^uint64(0), []byte{0xff, 0x0f, 0x37})
 	f.Add(uint8(2), uint8(7), uint8(31), uint8(3), uint16(11), uint64(0x5a5a5a5a), []byte{0xff})
@@ -398,49 +453,23 @@ func tileOUsInput(rows int) (masks []uint64, stride int, slices uint64, plane []
 	return masks, stride, slices, kernelWords(r, groups*w, "random")
 }
 
-func benchmarkTileOUs(b *testing.B, rows int) {
+// benchmarkTileOUs times one design-point TileOUs call; metered also
+// tallies the fill classes, as a metered phase 1 does.
+func benchmarkTileOUs(b *testing.B, rows int, metered bool) {
 	masks, stride, slices, plane := tileOUsInput(rows)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ous, wl := TileOUs(masks, stride, slices, plane, 8, 16)
-		sinkInt += int(ous + wl)
-	}
-}
-
-// benchmarkPerSliceOUs times what TileOUs replaces in unmetered phase
-// 1 (and metered phase 1 still runs): one CountAndPlanes per non-empty
-// slice, then a per-group ceil(nz/S_WL) table lookup.
-func benchmarkPerSliceOUs(b *testing.B, rows int) {
-	masks, stride, slices, plane := tileOUsInput(rows)
-	w := Words64(rows)
-	counts := make([]int, 8)
-	ouTab := make([]int32, 129)
-	for nz := range ouTab {
-		ouTab[nz] = int32((nz + 15) / 16)
+	var part *[9]int64
+	if metered {
+		part = new([9]int64)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ous, wl int64
-		for s := 0; s < 16; s++ {
-			if slices&(1<<uint(s)) == 0 {
-				continue
-			}
-			CountAndPlanes(masks[s*stride:s*stride+w], plane, counts)
-			for _, nz := range counts {
-				if nz == 0 {
-					continue
-				}
-				ous += int64(ouTab[nz])
-				wl += int64(nz)
-			}
-		}
+		ous, wl := TileOUs(masks, stride, slices, plane, 8, 16, part)
 		sinkInt += int(ous + wl)
 	}
 }
 
-func BenchmarkTileOUsW1(b *testing.B)     { benchmarkTileOUs(b, 64) }
-func BenchmarkTileOUsW2(b *testing.B)     { benchmarkTileOUs(b, 128) }
-func BenchmarkPerSliceOUsW1(b *testing.B) { benchmarkPerSliceOUs(b, 64) }
-func BenchmarkPerSliceOUsW2(b *testing.B) { benchmarkPerSliceOUs(b, 128) }
+func BenchmarkTileOUsW1(b *testing.B)        { benchmarkTileOUs(b, 64, false) }
+func BenchmarkTileOUsW2(b *testing.B)        { benchmarkTileOUs(b, 128, false) }
+func BenchmarkTileOUsMeteredW1(b *testing.B) { benchmarkTileOUs(b, 64, true) }
+func BenchmarkTileOUsMeteredW2(b *testing.B) { benchmarkTileOUs(b, 128, true) }

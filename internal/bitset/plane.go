@@ -62,10 +62,18 @@ func CountAndPlanes(mask, plane []uint64, counts []int) {
 // w = len(plane)/groups words each; masks holds the slice masks, slice
 // s at masks[s·stride : s·stride+w]. For every slice s set in slices
 // and every group g, with nz = popcount(slice s ∩ group g), ous sums
-// ceil(nz/swl) and wl sums nz. Dispatch is shape-aware (kernel.go):
-// one- and two-word groups at a power-of-two swl take the AVX2 tier
-// when available; everything else takes the portable tier.
-func TileOUs(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int) (ous, wl int64) {
+// ceil(nz/swl) and wl sums nz.
+//
+// A non-nil part also tallies how full the partial OUs are: every
+// counted (slice, group) whose r = nz mod swl is non-zero adds one to
+// part[k], fill class k holding r in (2^(k-1), 2^k] and class 8 every
+// r > 128. The other ous − Σpart OUs are full, so together with wl
+// this is the whole occupancy distribution of the tile-window.
+//
+// Dispatch is shape-aware (kernel.go): one- and two-word groups at a
+// power-of-two swl take the AVX2 tier when available; everything else
+// takes the portable tier.
+func TileOUs(masks []uint64, stride int, slices uint64, plane []uint64, groups, swl int, part *[9]int64) (ous, wl int64) {
 	if groups < 0 || swl <= 0 || stride < 0 || (groups > 0 && len(plane)%groups != 0) ||
 		(groups == 0 && len(plane) != 0) {
 		panic("bitset: TileOUs bad shape")
@@ -77,21 +85,13 @@ func TileOUs(masks []uint64, stride int, slices uint64, plane []uint64, groups, 
 	if top := 63 - bits.LeadingZeros64(slices); w > len(masks) || (top > 0 && stride > (len(masks)-w)/top) {
 		panic("bitset: TileOUs masks shorter than the highest slice")
 	}
-	// nz never exceeds 64·w, so every larger swl counts one OU per
-	// non-empty group, exactly as swl = 64·w does; clamping keeps the
-	// ceiling's bias from overflowing.
-	if max := 64 * w; swl > max {
-		swl = max
+	// The OU count clamps swl at 64·w (tileOUsGeneric); the fill tally
+	// takes it as given, so the AVX2 tier tallies only at swl ≤ 64·w.
+	if ouSWL := min(swl, 64*w); hasAVX2 && (w == 1 || w == 2) && ouSWL&(ouSWL-1) == 0 &&
+		(part == nil || swl == ouSWL) {
+		return tileOUsAVX2(masks, stride, slices, plane, groups, w, swl, part)
 	}
-	if hasAVX2 && swl&(swl-1) == 0 {
-		switch w {
-		case 1:
-			return tileOUs1(masks, stride, slices, plane, swl)
-		case 2:
-			return tileOUs2(masks, stride, slices, plane, swl)
-		}
-	}
-	return tileOUsGeneric(masks, stride, slices, plane, groups, swl)
+	return tileOUsGeneric(masks, stride, slices, plane, groups, swl, part)
 }
 
 // BuildSliceMasks derives every activation bit-slice mask from one

@@ -118,17 +118,15 @@ func (ls *layerScratch) tileAccs(n int) []tileAcc {
 
 // p1Scratch is one phase-1 worker's scratch block: the window code
 // buffer, the (row block, slice) mask plane and its per-block headers,
-// the per-group count buffer and occupancy tally of metered runs, and
-// the per-slice row counts of Baseline-scheme runs. backing lays row
-// block rb's masks out as one block, slice s at (rb·spi+s)·maxWords
+// and the per-slice row counts of Baseline-scheme runs. backing lays
+// row block rb's masks out as one block, slice s at (rb·spi+s)·maxWords
 // with maxWords = Words64(XbarRows), the layout of the cached mask
-// plane too, so an unmetered run hands either block to bitset.TileOUs
-// as is; the headers in masks cut the same words per slice for
+// plane too, so phase 1 hands either block to bitset.TileOUs as is;
+// the headers in masks cut the same words per slice for
 // BuildSliceMasks. The layout stamp (lay, spi) identifies the shapes;
 // a recycled block with a matching stamp is reused as-is because every
 // buffer is fully overwritten per window (BuildSliceMasks rewrites
-// each mask's words, CountAndPlanes rewrites the counts) and the tally
-// is zeroed by the flush that ends every chunk.
+// each mask's words).
 type p1Scratch struct {
 	lay mapping.Layout
 	spi int
@@ -137,10 +135,8 @@ type p1Scratch struct {
 	backing  []uint64
 	masks    [][][]uint64 // [rb][s] -> word mask into backing
 	nonEmpty []uint64
-	counts   []int
 	sliceNZ  []int
 	ouTab    []int32 // ouTab[nz] = ceil(nz/SWL), nz in [0, XbarRows]
-	occTally []int64 // occTally[nz] = groups that drove nz rows this chunk
 }
 
 var p1ScratchPool sync.Pool
@@ -179,20 +175,12 @@ func (s *p1Scratch) shape(lay mapping.Layout, spi int) {
 		}
 	}
 	s.nonEmpty = make([]uint64, lay.RowBlocks)
-	maxGroups := 0
-	for cb := 0; cb < lay.ColBlocks; cb++ {
-		if n := lay.GroupsInTile(cb); n > maxGroups {
-			maxGroups = n
-		}
-	}
-	s.counts = make([]int, maxGroups)
 	s.sliceNZ = make([]int, lay.RowBlocks*spi)
-	// Phase 1 computes ceil(nz/S_WL) for every non-zero group count; a
-	// lookup table turns the inner loop's hardware division (a ~20%
-	// profile cost) into an L1 load. nz never exceeds a tile's rows.
+	// Baseline-scheme phase 1 computes ceil(nz/S_WL) for every
+	// non-empty slice; a lookup table turns that hardware division into
+	// an L1 load. nz never exceeds a tile's rows.
 	s.ouTab = make([]int32, lay.XbarRows+1)
 	for nz := 1; nz <= lay.XbarRows; nz++ {
 		s.ouTab[nz] = int32((nz + lay.SWL - 1) / lay.SWL)
 	}
-	s.occTally = make([]int64, lay.XbarRows+1)
 }

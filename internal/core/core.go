@@ -191,19 +191,34 @@ func observeOccupancy(occ *metrics.Histogram, nz, swl int, reps int64) {
 	}
 }
 
-// flushOccupancy records one phase-1 chunk's occupancy tally
-// (tally[nz] = column groups that drove nz rows) into occ and zeroes
-// it. Phase 1 bumps a plain tally slot per group and flushes once per
-// chunk, which keeps the histogram's atomic adds out of the per-group
-// loop; bucket counts, sum and count are integer sums, so the histogram
-// ends up exactly as if every group had been observed on its own.
-func flushOccupancy(occ *metrics.Histogram, tally []int64, swl int) {
-	for nz, n := range tally {
-		if n != 0 {
-			observeOccupancy(occ, nz, swl, n)
-			tally[nz] = 0
-		}
+// occClass returns the occupancyBounds bucket of a fill v ≥ 1: bucket
+// k holds v in (2^(k-1), 2^k] and the last every v > 128, the classes
+// bitset.TileOUs tallies partial OUs by.
+func occClass(v int) int { return min(bits.Len(uint(v-1)), len(occupancyBounds)) }
+
+// occTally is one phase-1 chunk's DOF occupancy: ous and wl sum the
+// OUs and driven rows of every counted (slice, group), and part[k]
+// counts the partial OUs of fill class k. That is the whole histogram:
+// each group with nz driven rows records nz/swl full OUs and one
+// partial OU of fill nz mod swl (observeOccupancy), so the count is
+// ous, the sum is wl, and the ous − Σpart full OUs all fall in the
+// bucket of swl.
+type occTally struct {
+	ous, wl int64
+	part    [9]int64
+}
+
+// flush records the tally into occ. Phase 1 flushes once per chunk,
+// which keeps the histogram's atomic adds out of its loops; every
+// figure is an integer sum, so the histogram ends up exactly as if each
+// group had been observed on its own.
+func (t *occTally) flush(occ *metrics.Histogram, swl int) {
+	counts, full := t.part, t.ous
+	for _, n := range t.part {
+		full -= n
 	}
+	counts[occClass(swl)] += full
+	occ.AddBuckets(counts[:], t.wl)
 }
 
 // recordStaticOccupancy feeds occ the fixed per-slice OU fill of one
@@ -899,18 +914,16 @@ type p1Input struct {
 // single-input runs pass one input, so idx degenerates to the window
 // index). For each window it derives all activation bit-slice masks in
 // one sweep (bitset.BuildSliceMasks) — or reads them straight from the
-// input's cached mask plane — then counts every column group's
-// retained-row intersection against the tile's cached word plane. An
-// unmetered run makes one fused call per (window, tile)
-// (bitset.TileOUs), which sums the OUs and driven wordlines over all
-// slices and groups at once. A metered run (msh non-nil) needs each
-// group's count for the occupancy histogram, so it keeps one
-// bitset.CountAndPlanes pass per slice, tallies occupancy in the
-// scratch and flushes the tally into msh once per chunk. The sums are
-// integers, so both paths give identical results. Scratch comes from
-// the phase-1 arena (checked out per shard or dynamic chunk) and every
-// result lands in a disjoint work slot, so the phase stays
-// bit-identical at any worker count.
+// input's cached mask plane — then makes one fused bitset.TileOUs call
+// per (window, tile), which sums the OUs and driven wordlines over all
+// slices and column groups at once. A metered run (msh non-nil) also
+// has that call tally the fill classes of the partial OUs, and records
+// the chunk's occupancy histogram from the tally once per chunk.
+// Baseline-scheme plans are virtualized (every group drives the slice's
+// rows), so that scheme takes per-slice arithmetic instead. Scratch
+// comes from the phase-1 arena (checked out per shard or dynamic
+// chunk) and every result lands in a disjoint work slot, so the phase
+// stays bit-identical at any worker count.
 func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	work []batchWork, sampled, windows int, inputs []p1Input, msh *metrics.Shard) func(start, end int) {
 	lay := l.Struct.Layout
@@ -923,8 +936,8 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 		gets: msh.Counter(`sre_core_arena_gets_total{arena="phase1"}`),
 		news: msh.Counter(`sre_core_arena_news_total{arena="phase1"}`),
 	}
-	// The occupancy histogram is nil when unmetered: the tally block is
-	// then skipped by one branch per group and the name never formatted.
+	// The occupancy histogram is nil when unmetered: no fill classes are
+	// then tallied and the name is never formatted.
 	var occ *metrics.Histogram
 	if msh != nil {
 		occ = msh.Histogram(occName(cfg.Mode), occupancyBounds)
@@ -932,9 +945,11 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	return func(start, end int) {
 		scr := getP1Scratch(lay, spi, am)
 		defer scr.release()
-		tally := scr.occTally
+		var tally occTally
+		var part *[9]int64
 		if occ != nil {
-			defer flushOccupancy(occ, tally, g.SWL)
+			part = &tally.part
+			defer tally.flush(occ, g.SWL)
 		}
 		// Source clones are established lazily per input as the shard
 		// crosses input boundaries (at most once per boundary per chunk).
@@ -943,7 +958,6 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 		codes := scr.codes
 		masks := scr.masks
 		nonEmpty := scr.nonEmpty
-		counts := scr.counts
 		sliceNZ := scr.sliceNZ
 		ouTab := scr.ouTab
 		for idx := start; idx < end; idx++ {
@@ -986,7 +1000,7 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				// non-empty bitmap, names every slice: quant.Validate
 				// bounds spi at 32.
 				ne, block := nonEmpty[rb], scr.backing[rb*spi*maxWords:(rb+1)*spi*maxWords]
-				mbase, tw := 0, bitset.Words64(lay.TileRows(rb))
+				mbase := 0
 				if mp != nil {
 					mbase = (wi*lay.RowBlocks + rb) * spi
 					ne = mp.nonEmpty[wi*lay.RowBlocks+rb]
@@ -994,17 +1008,11 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				}
 				for cb := range plans[rb] {
 					tp := &plans[rb][cb]
-					slot := idx*nTiles + rb*lay.ColBlocks + cb
-					if !baseline && occ == nil {
-						ous, wl := bitset.TileOUs(block, maxWords, ne, tp.plans.Plane, tp.plans.Groups, g.SWL)
-						work[slot] = batchWork{ous, wl}
-						continue
-					}
-					var batchOUs, batchWL int64
-					for sl := ne; sl != 0; sl &= sl - 1 {
-						s := bits.TrailingZeros64(sl)
-						if baseline {
-							var nz int
+					var ous, wl int64
+					if baseline {
+						for sl := ne; sl != 0; sl &= sl - 1 {
+							s := bits.TrailingZeros64(sl)
+							nz := 0
 							if mp != nil {
 								nz = int(mp.sliceNZ[mbase+s])
 							} else {
@@ -1013,26 +1021,21 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 							if nz == 0 {
 								continue
 							}
-							batchOUs += int64(ouTab[nz]) * int64(tp.plans.Groups)
-							batchWL += int64(nz) * int64(tp.plans.Groups)
-							if occ != nil {
-								tally[nz] += int64(tp.plans.Groups)
+							n := int64(tp.plans.Groups)
+							ous += int64(ouTab[nz]) * n
+							wl += int64(nz) * n
+							if part != nil {
+								if r := nz % g.SWL; r > 0 {
+									part[occClass(r)] += n
+								}
 							}
-							continue
 						}
-						// Metered: each group's count feeds the tally.
-						cnt := counts[:tp.plans.Groups]
-						bitset.CountAndPlanes(block[s*maxWords:s*maxWords+tw], tp.plans.Plane, cnt)
-						for _, nz := range cnt {
-							if nz == 0 {
-								continue
-							}
-							batchOUs += int64(ouTab[nz])
-							batchWL += int64(nz)
-							tally[nz]++
-						}
+					} else {
+						ous, wl = bitset.TileOUs(block, maxWords, ne, tp.plans.Plane, tp.plans.Groups, g.SWL, part)
 					}
-					work[slot] = batchWork{batchOUs, batchWL}
+					work[idx*nTiles+rb*lay.ColBlocks+cb] = batchWork{ous, wl}
+					tally.ous += ous
+					tally.wl += wl
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sre/internal/bitset"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
 	"sre/internal/quant"
@@ -52,9 +53,10 @@ func buildGoldenLayer(name string, rows, cols int, g mapping.Geometry, wSeed, aS
 // columns → 176 physical → column blocks of 8 and 3 (odd) groups, and
 // a non-power-of-two OU (12, giving 11 and 4 groups), which takes the
 // portable TileOUs tier. For every mode and worker count the unmetered
-// kernel (one fused TileOUs call per tile-window), the metered kernel
-// (per-slice, per-group counts for the occupancy tally) and the scalar
-// reference must give equal LayerResults.
+// kernel, the metered kernel (whose TileOUs calls also tally fill
+// classes) and the scalar reference must give equal LayerResults, and
+// the metered kernel's occupancy histogram must equal the metered
+// scalar reference's.
 func TestGoldenTailShapes(t *testing.T) {
 	ctx := context.Background()
 	modes := []Mode{ModeBaseline, ModeNaive, ModeReCom, ModeORC, ModeDOF, ModeORCDOF, ModeWSS, ModeORCDOFWSS}
@@ -82,6 +84,7 @@ func TestGoldenTailShapes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("OU %d %v workers=%d metered: %v", ou, mode, workers, err)
 				}
+				meteredReg := cfg.Metrics
 				cfg.Metrics = nil
 				cfg.ScalarReference = true
 				scalar, err := SimulateLayerContext(ctx, layer, cfg)
@@ -91,6 +94,16 @@ func TestGoldenTailShapes(t *testing.T) {
 				if plain != metered || plain != scalar {
 					t.Fatalf("OU %d %v workers=%d: unmetered %+v, metered %+v, scalar %+v",
 						ou, mode, workers, plain, metered, scalar)
+				}
+				kernelOcc := meteredReg.Snapshot().Histograms[occName(mode)]
+				cfg.Metrics = metrics.NewRegistry()
+				if _, err := SimulateLayerContext(ctx, layer, cfg); err != nil {
+					t.Fatalf("OU %d %v workers=%d metered scalar: %v", ou, mode, workers, err)
+				}
+				scalarOcc := cfg.Metrics.Snapshot().Histograms[occName(mode)]
+				if kernelOcc.Count == 0 || fmt.Sprint(kernelOcc) != fmt.Sprint(scalarOcc) {
+					t.Fatalf("OU %d %v workers=%d: kernel occupancy %+v != scalar %+v",
+						ou, mode, workers, kernelOcc, scalarOcc)
 				}
 			}
 		}
@@ -226,6 +239,55 @@ func TestGoldenMeteredScalarOccupancy(t *testing.T) {
 		scalar := cfg.Metrics.Snapshot().Histograms[occName(mode)]
 		if fmt.Sprint(kernel) != fmt.Sprint(scalar) {
 			t.Fatalf("%v: kernel occupancy %+v != scalar %+v", mode, kernel, scalar)
+		}
+	}
+}
+
+// TestOccupancyClassesMatchBuckets ties bitset.TileOUs' fill classes,
+// and occClass, which files full OUs and Baseline-scheme partial OUs,
+// to the histogram: for every fill v in 1..256, groups with v driven
+// rows must be tallied in the bucket Histogram.ObserveN picks for v
+// under occupancyBounds. Four-word groups at swl 512 take the portable
+// tier; fills below 128 also run four two-word groups at swl 128, the
+// AVX2 tier on CPUs that have it.
+func TestOccupancyClassesMatchBuckets(t *testing.T) {
+	reg := metrics.NewRegistry()
+	sh := reg.Shard()
+	for v := 1; v <= 256; v++ {
+		sh.Histogram(fmt.Sprint(v), occupancyBounds).ObserveN(int64(v), 1)
+	}
+	snap := reg.Snapshot()
+	for v := 1; v <= 256; v++ {
+		bucket := -1
+		for k, n := range snap.Histograms[fmt.Sprint(v)].Counts {
+			if n == 1 {
+				bucket = k
+			}
+		}
+		if got := occClass(v); got != bucket {
+			t.Fatalf("fill %d: occClass %d, ObserveN bucket %d", v, got, bucket)
+		}
+		tally := func(w, swl int) {
+			const groups = 4
+			mask := make([]uint64, w)
+			plane := make([]uint64, groups*w)
+			for i := range mask {
+				mask[i] = ^uint64(0)
+			}
+			for g := 0; g < groups; g++ {
+				for row := 0; row < v; row++ {
+					plane[g*w+row/64] |= 1 << uint(row%64)
+				}
+			}
+			var part, want [9]int64
+			want[bucket] = groups
+			if _, wl := bitset.TileOUs(mask, w, 1, plane, groups, swl, &part); wl != int64(groups*v) || part != want {
+				t.Fatalf("fill %d, w=%d, swl %d: wl %d, classes %v, want %d, %v", v, w, swl, wl, part, groups*v, want)
+			}
+		}
+		tally(4, 512)
+		if v < 128 {
+			tally(2, 128)
 		}
 	}
 }

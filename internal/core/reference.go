@@ -71,8 +71,9 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	return func(start, end int) {
 		acts := cloneSource(l.Acts)
 		codes := make([]uint32, lay.Rows)
-		// The same per-chunk occupancy tally and flush as kernelPhase1,
-		// so the metered scalar path observes identical occupancy.
+		// A per-nz occupancy tally, flushed once per shard through
+		// observeOccupancy: a derivation of the histogram independent
+		// of kernelPhase1's fill classes.
 		var tally []int64
 		if occ != nil {
 			tally = make([]int64, g.XbarRows+1)
@@ -141,6 +142,19 @@ func scalarPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 					work[wi*nTiles+rb*lay.ColBlocks+cb] = batchWork{batchOUs, batchWL}
 				}
 			}
+		}
+	}
+}
+
+// flushOccupancy records a scalar phase-1 shard's occupancy tally
+// (tally[nz] = column groups that drove nz rows) into occ and zeroes
+// it. Bucket counts, sum and count are integer sums, so the histogram
+// ends up exactly as if every group had been observed on its own.
+func flushOccupancy(occ *metrics.Histogram, tally []int64, swl int) {
+	for nz, n := range tally {
+		if n != 0 {
+			observeOccupancy(occ, nz, swl, n)
+			tally[nz] = 0
 		}
 	}
 }

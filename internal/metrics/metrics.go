@@ -235,6 +235,30 @@ func (h *Histogram) ObserveN(v, n int64) {
 	h.count.Add(n)
 }
 
+// AddBuckets records observations already sorted into buckets:
+// counts[i] more in bucket i (the last entry is the +Inf bucket), with
+// values totalling sum. The histogram ends up exactly as after the
+// ObserveN calls those observations stand for, so a hot loop can tally
+// by bucket and record once. counts must hold one entry per bucket,
+// len(bounds)+1.
+func (h *Histogram) AddBuckets(counts []int64, sum int64) {
+	if h == nil {
+		return
+	}
+	if len(counts) != len(h.buckets) {
+		panic("metrics: AddBuckets bucket count mismatch")
+	}
+	var n int64
+	for i, c := range counts {
+		if c != 0 {
+			h.buckets[i].Add(c)
+			n += c
+		}
+	}
+	h.sum.Add(sum)
+	h.count.Add(n)
+}
+
 // Snapshot is the merge of every shard, released or live. Maps are keyed by
 // the full metric name (labels included); encoding/json sorts map keys,
 // so the serialized form is stable.

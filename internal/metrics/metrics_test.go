@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ func TestNilRegistryAndCells(t *testing.T) {
 	sh.Gauge("g").Set(7)
 	sh.Histogram("h", []int64{1, 2}).Observe(1)
 	sh.Histogram("h", []int64{1, 2}).ObserveN(2, 5)
+	sh.Histogram("h", []int64{1, 2}).AddBuckets([]int64{1, 0, 2}, 9)
 	if snap := r.Snapshot(); snap != nil {
 		t.Fatal("nil registry snapshot must be nil")
 	}
@@ -208,6 +210,48 @@ func TestReleaseConcurrentScrape(t *testing.T) {
 	}
 	if got := r.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%+v != %+v", got, want)
+	}
+}
+
+// TestAddBucketsMatchesObserveN pins AddBuckets to the ObserveN calls
+// it stands for: random observations recorded one call each into one
+// histogram, and as per-bucket counts plus their sum into another, give
+// equal snapshots.
+func TestAddBucketsMatchesObserveN(t *testing.T) {
+	bounds := []int64{1, 2, 4, 8, 16, 32, 64, 128}
+	rng := rand.New(rand.NewSource(3))
+	r := NewRegistry()
+	sh := r.Shard()
+	each, batched := sh.Histogram("each", bounds), sh.Histogram("batched", bounds)
+	for round := 0; round < 40; round++ {
+		counts := make([]int64, len(bounds)+1)
+		var sum int64
+		for i := rng.Intn(30); i > 0; i-- {
+			v, n := rng.Int63n(300), rng.Int63n(4)+1
+			each.ObserveN(v, n)
+			counts[sort.Search(len(bounds), func(k int) bool { return v <= bounds[k] })] += n
+			sum += v * n
+		}
+		batched.AddBuckets(counts, sum)
+	}
+	snap := r.Snapshot()
+	got, want := snap.Histograms["batched"], snap.Histograms["each"]
+	if want.Count == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("AddBuckets %+v, ObserveN %+v", got, want)
+	}
+}
+
+func TestAddBucketsMismatchPanics(t *testing.T) {
+	h := NewRegistry().Shard().Histogram("h", []int64{1, 2})
+	for _, counts := range [][]int64{nil, {1, 2}, {1, 2, 3, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d counts for 3 buckets: no panic", len(counts))
+				}
+			}()
+			h.AddBuckets(counts, 0)
+		}()
 	}
 }
 

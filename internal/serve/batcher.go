@@ -227,16 +227,22 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		}(w)
 	}
 
-	if err := b.budget.Acquire(runCtx); err != nil {
-		deliver(batchResult{err: err})
-		return
+	deliver(b.sweep(runCtx, key, bt))
+}
+
+// sweep runs one claimed batch's sweep on a sweep slot and a pinned
+// network and feeds the result cache. It returns only after both are
+// released, so a waiter that has its reply also sees the slot free and
+// the network unpinned.
+func (b *Batcher) sweep(ctx context.Context, key BatchKey, bt *batch) batchResult {
+	if err := b.budget.Acquire(ctx); err != nil {
+		return batchResult{err: err}
 	}
 	defer b.budget.Release()
 
-	net, release, err := b.registry.Get(runCtx, key.Key)
+	net, release, err := b.registry.Get(ctx, key.Key)
 	if err != nil {
-		deliver(batchResult{err: err})
-		return
+		return batchResult{err: err}
 	}
 	defer release() // unpin: the registry may evict once the sweep is done
 	opts := append([]sre.Option{
@@ -248,10 +254,9 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 	if len(bt.acts) == 1 && bt.acts[0] == 0 {
 		// Every waiter wants the network's own activations: the plain
 		// mode sweep (the historical path, byte-identical responses).
-		results, err := net.RunModesContext(runCtx, bt.modes, opts...)
+		results, err := net.RunModesContext(ctx, bt.modes, opts...)
 		if err != nil {
-			deliver(batchResult{err: err})
-			return
+			return batchResult{err: err}
 		}
 		byMode := make(map[sre.Mode]sre.Result, len(results))
 		for _, r := range results {
@@ -263,8 +268,7 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		}
 		byAct[0] = byMode
 		b.populate(key, byAct)
-		deliver(batchResult{byAct: byAct})
-		return
+		return batchResult{byAct: byAct}
 	}
 	// Waiters differ (only) in their activation seed: run the union as
 	// one batched multi-activation sweep and fan out per (seed, mode).
@@ -272,10 +276,9 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 	for i, seed := range bt.acts {
 		sets[i] = sre.ActivationSet{ActSeed: seed}
 	}
-	grid, err := net.RunBatchContext(runCtx, bt.modes, sets, opts...)
+	grid, err := net.RunBatchContext(ctx, bt.modes, sets, opts...)
 	if err != nil {
-		deliver(batchResult{err: err})
-		return
+		return batchResult{err: err}
 	}
 	for i, seed := range bt.acts {
 		byMode := make(map[sre.Mode]sre.Result, len(grid[i]))
@@ -286,7 +289,7 @@ func (b *Batcher) exec(key BatchKey, bt *batch) {
 		byAct[seed] = byMode
 	}
 	b.populate(key, byAct)
-	deliver(batchResult{byAct: byAct})
+	return batchResult{byAct: byAct}
 }
 
 // populate feeds every (seed, mode) cell of a completed sweep into the

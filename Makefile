@@ -22,12 +22,12 @@ BENCH_OLD ?= BENCH_PR7_BASE.json
 # noisy repeat would otherwise be the whole record.
 BENCH_COUNT ?= 1
 
-# The benchmark set `make bench` records: the per-mode simulator
-# kernels and the six-mode VGG-16 sweep in the root package, plus the
-# popcount-kernel and plane-construction microbenches in
-# internal/bitset (the fused TileOUs kernel with and without the
-# metered fill tally) so kernel-dispatch regressions show up in the
-# same trajectory record.
+# The benchmark set `make bench` records: the per-mode layer-engine
+# benches (kernel vs scalar reference) in internal/core, the six-mode
+# VGG-16 sweep in the root package, plus the popcount-kernel and
+# plane-construction microbenches in internal/bitset (the fused TileOUs
+# kernel with and without the metered fill tally) so kernel-dispatch
+# regressions show up in the same trajectory record.
 BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkVGG16Sweep|BenchmarkBatchedSweep
 BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks|BenchmarkTileOUs
 
@@ -80,7 +80,7 @@ smoke:
 bench:
 	$(GO) build -o bin/benchjson ./cmd/benchjson
 	($(GO) test -run=NONE -bench '$(BENCH_PATTERN)' \
-		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) . && \
+		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) . ./internal/core && \
 	 $(GO) test -run=NONE -bench '$(BENCH_PATTERN_BITSET)' \
 		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) ./internal/bitset) \
 		| ./bin/benchjson -count $(BENCH_COUNT) -out $(BENCH_OUT)

@@ -34,7 +34,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		workers    = cli.AddWorkers(flag.CommandLine)
 		snapDir    = cli.AddSnapshotDir(flag.CommandLine)
-		codeCache  = cli.AddCodeCache(flag.CommandLine)
 		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf    = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		metricsFl  = cli.AddMetrics(flag.CommandLine)
@@ -60,7 +59,7 @@ func main() {
 		return
 	}
 	opt := experiments.Options{Seed: *seed, MaxWindows: *windows, Quick: *quick,
-		Workers: *workers, NoCodeCache: !*codeCache, SnapshotDir: *snapDir,
+		Workers: *workers, SnapshotDir: *snapDir,
 		Metrics: metricsFl.Registry()}
 
 	var ids []string

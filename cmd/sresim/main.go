@@ -47,7 +47,6 @@ func main() {
 		workers   = cli.AddWorkers(flag.CommandLine)
 		snapDir   = cli.AddSnapshotDir(flag.CommandLine)
 		progress  = flag.Bool("progress", false, "report per-layer progress to stderr")
-		codeCache = cli.AddCodeCache(flag.CommandLine)
 		layers    = flag.Bool("layers", false, "print per-layer results")
 		runISAAC  = flag.Bool("isaac", false, "also run the over-idealized ISAAC model")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -102,7 +101,7 @@ func main() {
 	net, err := sre.Load(*network, loadOpts...)
 	fatal(err)
 
-	runOpts := []sre.Option{sre.WithCodeCache(*codeCache)}
+	var runOpts []sre.Option
 	if *progress {
 		runOpts = append(runOpts, sre.WithProgress(func(p sre.Progress) {
 			fmt.Fprintf(os.Stderr, "  [%s] layer %d/%d done (%s, %d OU events, %d/%d windows)\n",

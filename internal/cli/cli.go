@@ -1,5 +1,5 @@
 // Package cli is the flag wiring the sre binaries share: the
-// simulation worker-pool width, the window-code cache toggle, and the
+// simulation worker-pool width, the snapshot directory, and the
 // run-metrics snapshot file/format pair with its writer. Extracting it
 // keeps the four binaries (sresim, srebench, sreaccuracy, sreserved)
 // agreeing on flag names, defaults, and help text, and keeps the
@@ -20,11 +20,6 @@ import (
 // AddWorkers registers the shared -workers flag on fs.
 func AddWorkers(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 0, "simulation worker-pool width (0 = GOMAXPROCS)")
-}
-
-// AddCodeCache registers the shared -codecache flag on fs.
-func AddCodeCache(fs *flag.FlagSet) *bool {
-	return fs.Bool("codecache", true, "share one window-code materialization per layer across modes")
 }
 
 // AddSnapshotDir registers the shared -snapshot-dir flag on fs.

@@ -11,13 +11,12 @@ import (
 func TestFlagDefaults(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	workers := AddWorkers(fs)
-	codeCache := AddCodeCache(fs)
 	m := AddMetrics(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if *workers != 0 || !*codeCache || m.Enabled() || m.Format != "json" {
-		t.Fatalf("defaults: workers=%d codecache=%v metrics=%+v", *workers, *codeCache, m)
+	if *workers != 0 || m.Enabled() || m.Format != "json" {
+		t.Fatalf("defaults: workers=%d metrics=%+v", *workers, m)
 	}
 	if m.Registry() != nil {
 		t.Fatal("disabled metrics flags must yield a nil registry")

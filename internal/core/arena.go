@@ -42,9 +42,7 @@ type tileAcc struct {
 
 // layerScratch is one simulateLayer call's allocation block: the plan
 // grid, DOF work slots, and tile accumulators, sized (and re-zeroed
-// where required) per checkout. The kernel and OCC paths always run on
-// a pooled block; the scalar reference path keeps its historical fresh
-// allocations.
+// where required) per checkout.
 type layerScratch struct {
 	planBack []tilePlan
 	planRows [][]tilePlan

@@ -13,8 +13,7 @@ import (
 // TestGoldenCodeCacheBitIdentical is the code-plane cache's identity
 // proof: for every mode, worker count, and sampling setting, a layer
 // that carries a CodePlanes must produce exactly the LayerResult of the
-// same layer without one, and of a cached layer run with
-// Config.NoCodeCache — same Cycles, Stalls, OUEvents, Fetches, and
+// same layer without one — same Cycles, Stalls, OUEvents, Fetches, and
 // bit-for-bit the same Energy floats. One CodePlanes instance persists
 // across all runs, so later iterations also prove reads of an
 // already-built plane stay identical.
@@ -43,14 +42,6 @@ func TestGoldenCodeCacheBitIdentical(t *testing.T) {
 				if got != want {
 					t.Fatalf("%s: cached %+v != uncached %+v", tag, got, want)
 				}
-				cfg.NoCodeCache = true
-				optOut, err := SimulateLayerContext(ctx, cached, cfg)
-				if err != nil {
-					t.Fatalf("%s opt-out: %v", tag, err)
-				}
-				if optOut != want {
-					t.Fatalf("%s: NoCodeCache %+v != uncached %+v", tag, optOut, want)
-				}
 			}
 		}
 	}
@@ -58,8 +49,8 @@ func TestGoldenCodeCacheBitIdentical(t *testing.T) {
 
 // TestGoldenCodeCacheMeteredIdentical repeats the identity with a
 // metrics registry attached and reconciles the cache counters: distinct
-// sampled-window counts build distinct planes exactly once, every other
-// lookup hits, and the opted-out run touches none of them.
+// sampled-window counts build distinct planes exactly once and every
+// other lookup hits.
 func TestGoldenCodeCacheMeteredIdentical(t *testing.T) {
 	layer := goldenLayer(t)
 	layer.Codes = NewCodePlanes()

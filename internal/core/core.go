@@ -31,8 +31,10 @@
 // cross-shard state is written to disjoint, pre-sized slots and the
 // final reduction runs serially in a fixed order, so results are
 // bit-identical to a single-worker run at any pool width.
-// SimulateNetworkContext adds cancellation and per-layer progress
-// reporting on top of the same engine.
+// SimulateNetworkBatchContext runs several activation assignments
+// through one engine pass, sharing everything that does not depend on
+// the activation values; a single run (SimulateNetworkContext) is a
+// batch of one.
 package core
 
 import (
@@ -111,13 +113,6 @@ type Config struct {
 	NoC        noc.Config    // zero value disables interconnect accounting
 	Buffer     buffer.Config // zero value assumes the §5.3 one-cycle fetch
 
-	// NoCodeCache disables the layer-level window-code plane cache
-	// (Layer.Codes): every mode goes back to reading the
-	// ActivationSource per window, as the pre-cache simulator did.
-	// Results are bit-identical either way; the switch exists for
-	// memory-constrained runs and as the golden comparison baseline.
-	NoCodeCache bool
-
 	// Workers is the simulation worker-pool width (0 = GOMAXPROCS).
 	// Results are bit-identical at every width.
 	Workers int
@@ -126,8 +121,9 @@ type Config struct {
 	// across concurrent SimulateNetwork calls.
 	Pool *parallel.Pool
 	// Progress, when non-nil, is called after each layer completes
-	// during SimulateNetworkContext. Calls are serialized but may
-	// arrive out of layer order when layers overlap.
+	// during a network simulation, with the first batch input's result.
+	// Calls are serialized but may arrive out of layer order when
+	// layers overlap.
 	Progress func(ProgressEvent)
 
 	// Metrics, when non-nil, receives run observability: OU
@@ -137,14 +133,6 @@ type Config struct {
 	// into the simulation, so Cycles/Energy stay bit-identical to an
 	// unmetered run.
 	Metrics *metrics.Registry
-
-	// ScalarReference, when true, routes plan building and the DOF
-	// inner loop through the pre-kernel scalar implementation (per-call
-	// plan rebuilds, per-group bitset intersections). It exists as the
-	// golden reference the word-plane kernel path is proven
-	// bit-identical against, and as the before/after benchmark baseline
-	// — never as a production configuration.
-	ScalarReference bool
 }
 
 // ProgressEvent reports one completed layer of a running network
@@ -238,10 +226,6 @@ func recordStaticOccupancy(occ *metrics.Histogram, tp *tilePlan, swl int, reps i
 		}
 		for _, rows := range tp.plans.GroupRows {
 			observeOccupancy(occ, len(rows), swl, reps)
-		}
-	case tp.groupBits != nil:
-		for _, gb := range tp.groupBits {
-			observeOccupancy(occ, gb.Count(), swl, reps)
 		}
 	default:
 		occ.ObserveN(int64(swl), tp.staticOUs*reps)
@@ -390,8 +374,7 @@ type Layer struct {
 	// Codes, when non-nil, caches the layer's sampled window codes so
 	// RunAll's modes (and repeated SimulateLayer calls) share one
 	// materialization instead of re-reading Acts per mode
-	// (workload.Build attaches one to every layer). Config.NoCodeCache
-	// opts a run out.
+	// (workload.Build attaches one to every layer).
 	Codes *CodePlanes
 	// OutputBits is the layer's output feature-map size; when the config
 	// carries an interconnect, handing it to the next layer's PEs costs
@@ -453,47 +436,96 @@ func SimulateNetwork(layers []Layer, cfg Config) NetworkResult {
 // accelerates the simulation itself, and the fixed-order reduction
 // keeps results bit-identical to a single-worker run. Returns ctx.Err
 // if the context is cancelled before the simulation completes, or the
-// first (lowest-index) layer's configuration error otherwise.
+// first (lowest-index) layer's configuration error otherwise. It is a
+// batch of one input: the layers' own activations.
 func SimulateNetworkContext(ctx context.Context, layers []Layer, cfg Config) (NetworkResult, error) {
+	out, err := SimulateNetworkBatchContext(ctx, layers, cfg, []BatchInput{{}})
+	if err != nil {
+		return NetworkResult{}, err
+	}
+	return out[0], nil
+}
+
+// BatchInput is one activation assignment of a batched simulation.
+// Sources[i], when non-nil, replaces layer i's activation source and
+// must agree with it on the window count; a nil element — or a nil
+// Sources slice — keeps the layer's own Acts. Substituted sources
+// bypass the layer's code/mask plane caches (those hold the layer's
+// own activations), so they are read per window.
+type BatchInput struct {
+	Sources []ActivationSource
+}
+
+// SimulateNetworkBatchContext runs every layer once per batch input
+// and returns one NetworkResult per input, in batch order. Result j is
+// bit-identical to SimulateNetworkContext over layers with input j's
+// sources substituted. Static (non-DOF) modes never read activation
+// values, so the whole batch costs one simulation plus replication;
+// DOF modes share plans, planes, and scratch across inputs and pay
+// only the per-input phase-1/2 work — both sub-linear in the batch
+// size against independent sweeps. cfg.Progress reports each layer
+// once, with input 0's result.
+func SimulateNetworkBatchContext(ctx context.Context, layers []Layer, cfg Config, batch []BatchInput) ([]NetworkResult, error) {
+	if len(batch) == 0 {
+		return nil, fmt.Errorf("core: SimulateNetworkBatchContext needs at least one batch input")
+	}
+	for j := range batch {
+		if batch[j].Sources != nil && len(batch[j].Sources) != len(layers) {
+			return nil, fmt.Errorf("core: batch input %d has %d sources, network has %d layers",
+				j, len(batch[j].Sources), len(layers))
+		}
+	}
+	n, nl := len(batch), len(layers)
 	pool := cfg.pool()
-	results := make([]LayerResult, len(layers))
-	layerErrs := make([]error, len(layers))
+	results := make([]LayerResult, n*nl) // [input·layers + layer]
+	layerErrs := make([]error, nl)
 	var progressMu sync.Mutex
 	done := 0
-	err := pool.For(ctx, len(layers), func(start, end int) {
+	err := pool.For(ctx, nl, func(start, end int) {
 		for i := start; i < end; i++ {
-			lr, err := simulateLayer(ctx, layers[i], cfg, pool)
+			srcs := make([]ActivationSource, n)
+			for j := range batch {
+				if batch[j].Sources != nil {
+					srcs[j] = batch[j].Sources[i]
+				}
+			}
+			lrs, err := simulateLayer(ctx, layers[i], cfg, pool, srcs)
 			if err != nil {
 				layerErrs[i] = err
 				return
 			}
-			lr.Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
-			results[i] = lr
+			for j, lr := range lrs {
+				lr.Energy.Interconnect = cfg.NoC.LayerHandoffEnergy(layers[i].OutputBits)
+				results[j*nl+i] = lr
+			}
 			if cfg.Progress != nil {
 				progressMu.Lock()
 				done++
-				cfg.Progress(ProgressEvent{Index: i, Count: len(layers), Done: done, Layer: lr})
+				cfg.Progress(ProgressEvent{Index: i, Count: nl, Done: done, Layer: results[i]})
 				progressMu.Unlock()
 			}
 		}
 	})
 	if err != nil {
-		return NetworkResult{}, err
+		return nil, err
 	}
 	for i, lerr := range layerErrs {
 		if lerr != nil {
-			return NetworkResult{}, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
+			return nil, fmt.Errorf("layer %d (%s): %w", i, layers[i].Name, lerr)
 		}
 	}
 	publishPoolMetrics(cfg.Metrics, pool)
-	return reduceNetwork(layers, results), nil
+	out := make([]NetworkResult, n)
+	for j := range out {
+		out[j] = reduceNetwork(layers, results[j*nl:(j+1)*nl])
+	}
+	return out, nil
 }
 
 // reduceNetwork folds per-layer results into the network total: layers
 // execute sequentially on the modelled hardware, except that a run of
 // layers sharing a non-empty ParallelGroup executes concurrently —
-// latency is the slowest member's, energy sums. Shared by the
-// single-input and batched network simulations.
+// latency is the slowest member's, energy sums.
 func reduceNetwork(layers []Layer, results []LayerResult) NetworkResult {
 	var out NetworkResult
 	for i := 0; i < len(layers); {
@@ -533,25 +565,27 @@ func SimulateLayer(l Layer, cfg Config) LayerResult {
 // SimulateLayerContext runs one layer under cfg, sharding its window
 // and tile loops over the worker pool.
 func SimulateLayerContext(ctx context.Context, l Layer, cfg Config) (LayerResult, error) {
-	return simulateLayer(ctx, l, cfg, cfg.pool())
+	lrs, err := simulateLayer(ctx, l, cfg, cfg.pool(), []ActivationSource{nil})
+	if err != nil {
+		return LayerResult{}, err
+	}
+	return lrs[0], nil
 }
 
 // tilePlan is one (rb, cb) tile's per-run execution state: static
-// OU/wordline counts, eDRAM fetch shape, and — for DOF modes — the
-// retained-row masks the activation masks intersect with, either as the
-// cached word plane (kernel path) or as per-group bitsets (scalar
-// reference path).
+// OU/wordline counts, eDRAM fetch shape, and — for row-compressing
+// schemes — the cached word-plane plans whose retained-row masks the
+// DOF activation masks intersect with (nil under OCC).
 type tilePlan struct {
-	plans       *compress.TilePlans // cached word-plane plans (kernel path)
-	groupBits   []*bitset.Set       // scalar-reference per-group row masks
-	staticOUs   int64               // per-slice OU count without DOF
-	staticWL    int64               // per-slice driven wordlines without DOF
-	fetchGroups int                 // eDRAM fetches per batch
-	fetchBits   int                 // bits per fetch
+	plans       *compress.TilePlans
+	staticOUs   int64 // per-slice OU count without DOF
+	staticWL    int64 // per-slice driven wordlines without DOF
+	fetchGroups int   // eDRAM fetches per batch
+	fetchBits   int   // bits per fetch
 }
 
-// batchWork is one (window, tile) batch's DOF-dependent work, written
-// to a disjoint slot by phase 1.
+// batchWork is one (window, tile) batch's work — OU slots and driven
+// wordlines over all slices — written to a disjoint slot by phase 1.
 type batchWork struct{ ous, wl int64 }
 
 // validateModeLayer checks the mode against the layer's prepared state.
@@ -578,34 +612,51 @@ func validateModeLayer(l Layer, cfg Config) error {
 	return nil
 }
 
-// simulateLayer is the layer engine. It runs in three phases so that
+// simulateLayer is the layer engine. It runs the layer once per
+// activation source (sources[j] nil means the layer's own Acts; a single
+// run passes one nil) and returns the per-input results in order. One
+// prelude — validation, code- and mask-plane lookup, scratch, plans —
+// serves every input, and the run proceeds in three phases so that
 // parallel execution stays bit-identical to serial:
 //
 //  1. per-window batch work — OU slots and driven wordlines per tile —
-//     computed by workers over disjoint window shards (pure functions
-//     of the window, written to disjoint slots);
-//  2. per-tile pipeline schedules — each tile's tracker consumes its
+//     computed by workers over the flattened (input, window) space
+//     (pure functions of the window, written to disjoint slots);
+//  2. per-(input, tile) pipeline schedules — each tracker consumes its
 //     batches in window order, workers over disjoint tile shards;
-//  3. a serial reduction over tiles in fixed (row, column) order, the
-//     same float-accumulation order as the serial simulator.
+//  3. a serial reduction per input over tiles in fixed (row, column)
+//     order, the same float-accumulation order as the serial simulator.
 //
-// Configuration problems (invalid quantization, a structure built for a
-// different geometry, OCC misuse) are reported as errors, not panics,
-// so sweep servers survive a bad request.
-func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool) (LayerResult, error) {
+// Only DOF modes read activation values: a static mode is simulated
+// once and its result replicated to every input. Configuration problems
+// (invalid quantization, a structure built for a different geometry,
+// OCC misuse, a substituted source whose window count differs from the
+// layer's) are reported as errors, not panics, so sweep servers survive
+// a bad request.
+func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool, sources []ActivationSource) ([]LayerResult, error) {
 	if err := cfg.Quant.Validate(); err != nil {
-		return LayerResult{}, err
+		return nil, err
 	}
-	st := l.Struct
-	lay := st.Layout
+	lay := l.Struct.Layout
 	g := cfg.Geometry
 	if lay.SWL != g.SWL || lay.SBL != g.SBL || lay.XbarRows != g.XbarRows {
-		return LayerResult{}, fmt.Errorf(
+		return nil, fmt.Errorf(
 			"core: layer %q: structure was built with a different geometry (layout %d/%d/%d, config %d/%d/%d)",
 			l.Name, lay.XbarRows, lay.SWL, lay.SBL, g.XbarRows, g.SWL, g.SBL)
 	}
-	cycleTime := cfg.CycleTime()
-	eCfg := cfg.Energy
+	if err := validateModeLayer(l, cfg); err != nil {
+		return nil, err
+	}
+	windows := l.Acts.Windows()
+	for j, src := range sources {
+		if src != nil && src.Windows() != windows {
+			return nil, fmt.Errorf("core: layer %q: batch input %d has %d windows, the layer has %d",
+				l.Name, j, src.Windows(), windows)
+		}
+	}
+	sampled := SampledWindows(windows, cfg.MaxWindows)
+	spi := cfg.Quant.SlicesPerInput()
+	nTiles := lay.RowBlocks * lay.ColBlocks
 	// msh is this layer call's private metrics shard (nil when the run
 	// is unmetered — every cell operation on the nil chain is a no-op).
 	// Layers overlap on the pool, so shard-per-layer keeps the serial
@@ -614,21 +665,13 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	msh := cfg.Metrics.Shard()
 	defer cfg.Metrics.Release(msh)
 
-	windows := l.Acts.Windows()
-	sampled := SampledWindows(windows, cfg.MaxWindows)
-
-	if err := validateModeLayer(l, cfg); err != nil {
-		return LayerResult{}, err
-	}
-
-	// Resolve the layer's shared window-code plane. Every non-scalar
-	// mode performs the lookup — not just the DOF modes that read the
-	// codes — so the cache's hit/miss algebra is deterministic for a
-	// fixed workload: misses == builds == distinct sampled counts, hits
-	// == lookups − builds, regardless of mode order. The scalar
-	// reference path keeps its historical per-call source reads.
+	// Resolve the layer's shared window-code plane. Every mode performs
+	// the lookup — not just the DOF modes that read the codes — so the
+	// cache's hit/miss algebra is deterministic for a fixed workload:
+	// misses == builds == distinct sampled counts, hits == lookups −
+	// builds, regardless of mode order.
 	var plane []uint32
-	if l.Codes != nil && !cfg.NoCodeCache && !cfg.ScalarReference {
+	if l.Codes != nil {
 		plane = l.Codes.plane(l.Acts, lay.Rows, sampled, windows, codeCacheMetrics{
 			hits:   msh.Counter("sre_core_code_cache_hits_total"),
 			misses: msh.Counter("sre_core_code_cache_misses_total"),
@@ -636,62 +679,22 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 			bytes:  msh.Counter("sre_core_code_cache_bytes_total"),
 		})
 	}
-
-	// Non-scalar paths run on a pooled scratch block (plan grid, DOF
-	// work slots, tile accumulators); the scalar reference keeps fresh
-	// allocations so the golden baseline's behavior is untouched.
-	var ls *layerScratch
-	if !cfg.ScalarReference {
-		ls = getLayerScratch(arenaMetrics{
-			gets: msh.Counter(`sre_core_arena_gets_total{arena="layer"}`),
-			news: msh.Counter(`sre_core_arena_news_total{arena="layer"}`),
-		})
-		defer ls.release()
+	ls := getLayerScratch(arenaMetrics{
+		gets: msh.Counter(`sre_core_arena_gets_total{arena="layer"}`),
+		news: msh.Counter(`sre_core_arena_news_total{arena="layer"}`),
+	})
+	defer ls.release()
+	plans, err := layerPlans(ctx, l, cfg, ls, msh)
+	if err != nil {
+		return nil, err
 	}
 
-	// Per-tile plans. The row-compression plans (and their word-plane
-	// flattening) are memoized on the Structure per (scheme, indexBits),
-	// so RunAll's modes and repeated SimulateLayer calls share one
-	// build; only the mode-dependent fetch shape is derived here. The
-	// scalar reference path instead rebuilds everything per call, as
-	// the pre-kernel simulator did.
-	var plans [][]tilePlan
-	switch {
-	case cfg.Mode.Scheme == compress.OCC:
-		plans = ls.tilePlans(lay.RowBlocks, lay.ColBlocks)
-		for rb := 0; rb < lay.RowBlocks; rb++ {
-			tileRows := lay.TileRows(rb)
-			for cb := 0; cb < lay.ColBlocks; cb++ {
-				// Column compression keeps every row mapped; the OU count
-				// per slice comes from the per-band retained columns.
-				tp := &plans[rb][cb]
-				tp.staticOUs = int64(l.OCC.OUsPerTileSlice(rb, cb))
-				tp.staticWL = tp.staticOUs * int64(g.SWL)
-				tp.fetchGroups = 1 // input order unchanged
-				tp.fetchBits = tileRows * cfg.Quant.ABits
-			}
-		}
-	case cfg.ScalarReference:
-		var err error
-		plans, err = scalarTilePlans(ctx, l, cfg)
-		if err != nil {
-			return LayerResult{}, err
-		}
-	default:
-		var err error
-		plans, err = kernelTilePlans(ctx, l, cfg, ls, msh)
-		if err != nil {
-			return LayerResult{}, err
-		}
-	}
-
-	spi := cfg.Quant.SlicesPerInput()
-	nTiles := lay.RowBlocks * lay.ColBlocks
-
-	// Phase 1: per-window batch work, sharded over windows. Only DOF
-	// modes inspect the activations; for the static modes every window
-	// issues the same per-tile batch, so the phase is skipped entirely.
-	var work []batchWork // indexed [wi*nTiles + rb*ColBlocks + cb]
+	// Phase 1: per-window batch work over the flattened (input, window)
+	// space. Static modes issue the same per-tile batch every window, so
+	// they skip it (work stays nil) and record their fixed occupancy from
+	// the plans instead.
+	n := 1
+	var work []batchWork // indexed [(input·sampled + window)·nTiles + tile]
 	if cfg.Mode.DOF {
 		// Resolve the derived slice-mask plane (maskplane.go): when the
 		// code plane is cached, the per-window BuildSliceMasks sweep and
@@ -707,111 +710,93 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 				bytes:  msh.Counter("sre_core_mask_cache_bytes_total"),
 			})
 		}
-		if ls != nil {
-			work = ls.workSlots(sampled * nTiles)
-		} else {
-			work = make([]batchWork, sampled*nTiles)
-		}
-		var phase1 func(start, end int)
-		if cfg.ScalarReference {
-			phase1 = scalarPhase1(ctx, l, cfg, plans, work, sampled, windows, msh)
-		} else {
-			phase1 = kernelPhase1(ctx, l, cfg, plans, work, sampled, windows,
-				[]p1Input{{plane: plane, mp: mp, acts: l.Acts}}, msh)
-		}
-		if plane != nil {
-			// Cached codes need no source reads, so the window loop can
-			// rebalance freely: dynamic chunked sharding absorbs the
-			// skew of activation-dependent window costs. Result slots
-			// stay disjoint, so bit-identity is unaffected.
-			if err := pool.ForDynamic(ctx, sampled, parallel.ChunkFor(sampled, pool.Workers()), phase1); err != nil {
-				return LayerResult{}, err
+		// The layer's cached planes serve the inputs bound to its own
+		// source; substituted sources are read per window.
+		n = len(sources)
+		inputs := make([]p1Input, n)
+		cached, clonable := true, true
+		for j, src := range sources {
+			inputs[j] = p1Input{plane: plane, mp: mp, acts: l.Acts}
+			if src != nil && src != l.Acts {
+				inputs[j] = p1Input{acts: src}
 			}
-		} else {
-			winPool := pool
-			if _, ok := l.Acts.(SourceCloner); !ok {
-				// The source cannot give workers private views; read it
-				// from a single shard (tiles still parallelize below).
-				winPool = nil
-			}
-			if err := winPool.For(ctx, sampled, phase1); err != nil {
-				return LayerResult{}, err
-			}
-		}
-	}
-
-	// Phase 2: per-tile pipeline schedules, sharded over tiles. Each
-	// tile's tracker consumes its batches in window order — the same
-	// order (and, for the float fetch-energy sum, the same sequence of
-	// additions) as the serial simulator.
-	var accs []tileAcc
-	if ls != nil {
-		accs = ls.tileAccs(nTiles)
-	} else {
-		accs = make([]tileAcc, nTiles)
-	}
-	err := pool.For(ctx, nTiles, func(start, end int) {
-		for t := start; t < end; t++ {
-			if ctx.Err() != nil {
-				return
-			}
-			rb, cb := t/lay.ColBlocks, t%lay.ColBlocks
-			tp := &plans[rb][cb]
-			acc := &accs[t]
-			var tracker pipeline.Tracker
-			if cfg.Buffer.Banks > 0 {
-				// An explicit buffer model may not sustain the §5.3
-				// one-cycle fetch; charge the fetch stage accordingly.
-				totalBits := tp.fetchBits * tp.fetchGroups
-				tracker.FetchCycles = int64(1 + cfg.Buffer.StallCycles(totalBits, cycleTime))
-			}
-			staticOUs := tp.staticOUs * int64(spi)
-			staticWL := tp.staticWL * int64(spi)
-			fetchE := float64(tp.fetchGroups) * eCfg.FetchEnergy(tp.fetchBits)
-			for wi := 0; wi < sampled; wi++ {
-				batchOUs, batchWL := staticOUs, staticWL
-				if cfg.Mode.DOF {
-					bw := work[wi*nTiles+t]
-					batchOUs, batchWL = bw.ous, bw.wl
+			if inputs[j].plane == nil {
+				cached = false
+				if _, ok := inputs[j].acts.(SourceCloner); !ok {
+					clonable = false
 				}
-				tracker.Batch(batchOUs)
-				acc.ouEvents += batchOUs
-				acc.drivenWL += batchWL
-				acc.fetches += int64(tp.fetchGroups)
-				acc.fetchE += fetchE
 			}
-			acc.total, acc.stalls = tracker.Finish()
 		}
-	})
-	if err != nil {
-		return LayerResult{}, err
+		total := n * sampled
+		work = ls.workSlots(total * nTiles)
+		phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh)
+		switch {
+		case cached:
+			// Cached codes need no source reads, so the window loop can
+			// rebalance freely: dynamic chunked sharding absorbs the skew
+			// of activation-dependent window costs. Result slots stay
+			// disjoint, so bit-identity is unaffected.
+			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), phase1)
+		case clonable:
+			err = pool.For(ctx, total, phase1)
+		default:
+			// A source that cannot give workers private views is read
+			// from a single shard (tiles still parallelize below).
+			var serial *parallel.Pool
+			err = serial.For(ctx, total, phase1)
+		}
+		if err != nil {
+			return nil, err
+		}
+	} else if msh != nil {
+		occ := msh.Histogram(occName(cfg.Mode), occupancyBounds)
+		for rb := range plans {
+			for cb := range plans[rb] {
+				recordStaticOccupancy(occ, &plans[rb][cb], g.SWL, int64(spi)*int64(sampled))
+			}
+		}
 	}
 
-	// Phase 3: serial reduction in fixed tile order — latency is the
-	// slowest tile; energy sums over tiles.
-	return phase3Reduce(l, cfg, plans, accs, windows, sampled, msh), nil
+	out, err := schedule(ctx, l, cfg, pool, plans, work, n, windows, sampled, ls, msh)
+	if err != nil {
+		return nil, err
+	}
+	for len(out) < len(sources) {
+		out = append(out, out[0])
+	}
+	return out, nil
 }
 
-// kernelTilePlans resolves the memoized word-plane tile plans of a
-// non-OCC, non-scalar run into ls's plan grid — the row-compression
-// plans come from the Structure's (scheme, indexBits) memo; only the
-// mode-dependent fetch shape is derived here. Shared by the
-// single-input and batched layer engines.
-func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch, msh *metrics.Shard) ([][]tilePlan, error) {
+// layerPlans resolves a run's per-tile plans into ls's plan grid. The
+// row-compression plans (and their word-plane flattening) come from the
+// Structure's (scheme, indexBits) memo, so RunAll's modes and repeated
+// runs share one build; only the mode-dependent fetch shape is derived
+// here. OCC keeps every row mapped and takes its per-slice OU count
+// from the per-band retained columns.
+func layerPlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch, msh *metrics.Shard) ([][]tilePlan, error) {
 	lay := l.Struct.Layout
-	ps := l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
-		Hits:   msh.Counter("sre_compress_plan_cache_hits_total"),
-		Misses: msh.Counter("sre_compress_plan_cache_misses_total"),
-		Builds: msh.Counter("sre_compress_plan_cache_builds_total"),
-	})
+	var ps *compress.PlanSet
+	if cfg.Mode.Scheme != compress.OCC {
+		ps = l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
+			Hits:   msh.Counter("sre_compress_plan_cache_hits_total"),
+			Misses: msh.Counter("sre_compress_plan_cache_misses_total"),
+			Builds: msh.Counter("sre_compress_plan_cache_builds_total"),
+		})
+	}
 	plans := ls.tilePlans(lay.RowBlocks, lay.ColBlocks)
 	for rb := 0; rb < lay.RowBlocks; rb++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tileRows := lay.TileRows(rb)
 		for cb := 0; cb < lay.ColBlocks; cb++ {
 			tp := &plans[rb][cb]
+			tp.fetchBits = lay.TileRows(rb) * cfg.Quant.ABits
+			if ps == nil {
+				tp.staticOUs = int64(l.OCC.OUsPerTileSlice(rb, cb))
+				tp.staticWL = tp.staticOUs * int64(cfg.Geometry.SWL)
+				tp.fetchGroups = 1 // input order unchanged
+				continue
+			}
 			tp.plans = ps.Tile(rb, cb)
 			tp.staticOUs = tp.plans.OUs
 			tp.staticWL = tp.plans.RowCount
@@ -822,39 +807,81 @@ func kernelTilePlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch,
 			// all-zero. Each fetch reads the full batch's buffer lines
 			// — gather happens at the IR, not inside the eDRAM.
 			tp.fetchGroups = cfg.Mode.Scheme.FetchGroups(tp.plans.Groups, tp.plans.NonEmptyGroups)
-			tp.fetchBits = tileRows * cfg.Quant.ABits
 		}
 	}
 	return plans, nil
 }
 
+// schedule runs phases 2 and 3 of the layer engine for n inputs. work
+// holds every (input, window, tile) batch phase 1 wrote; nil means each
+// window issues the tile's static batch (staticOUs, staticWL per
+// slice). Each (input, tile) tracker consumes its batches in window
+// order — the same order (and, for the float fetch-energy sum, the
+// same sequence of additions) as the serial simulator — and each input
+// is then reduced on its own accumulator stripe.
+func schedule(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool, plans [][]tilePlan,
+	work []batchWork, n, windows, sampled int, ls *layerScratch, msh *metrics.Shard) ([]LayerResult, error) {
+	lay := l.Struct.Layout
+	nTiles := lay.RowBlocks * lay.ColBlocks
+	spi := int64(cfg.Quant.SlicesPerInput())
+	cycleTime := cfg.CycleTime()
+	accs := ls.tileAccs(n * nTiles)
+	err := pool.For(ctx, nTiles, func(start, end int) {
+		for t := start; t < end; t++ {
+			if ctx.Err() != nil {
+				return
+			}
+			tp := &plans[t/lay.ColBlocks][t%lay.ColBlocks]
+			var fetchCycles int64
+			if cfg.Buffer.Banks > 0 {
+				// An explicit buffer model may not sustain the §5.3
+				// one-cycle fetch; charge the fetch stage accordingly.
+				fetchCycles = int64(1 + cfg.Buffer.StallCycles(tp.fetchBits*tp.fetchGroups, cycleTime))
+			}
+			fetchE := float64(tp.fetchGroups) * cfg.Energy.FetchEnergy(tp.fetchBits)
+			bw := batchWork{tp.staticOUs * spi, tp.staticWL * spi}
+			for j := 0; j < n; j++ {
+				acc := &accs[j*nTiles+t]
+				tracker := pipeline.Tracker{FetchCycles: fetchCycles}
+				for wi := 0; wi < sampled; wi++ {
+					if work != nil {
+						bw = work[(j*sampled+wi)*nTiles+t]
+					}
+					tracker.Batch(bw.ous)
+					acc.ouEvents += bw.ous
+					acc.drivenWL += bw.wl
+					acc.fetches += int64(tp.fetchGroups)
+					acc.fetchE += fetchE
+				}
+				acc.total, acc.stalls = tracker.Finish()
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]LayerResult, n)
+	for j := range out {
+		out[j] = phase3Reduce(l, cfg, accs[j*nTiles:(j+1)*nTiles], windows, sampled, msh)
+	}
+	return out, nil
+}
+
 // phase3Reduce is the layer engine's serial phase-3 reduction over one
 // input's tile accumulators, in fixed (row, column) tile order — the
 // same float-accumulation order as the serial simulator. Latency is
-// the slowest tile's scaled schedule; energy sums over tiles. Shared
-// by the single-input and batched layer engines (a batched layer
-// reduces each input's accumulator stripe independently, in input
-// order, so every input sees exactly the single-run order).
-func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windows, sampled int, msh *metrics.Shard) LayerResult {
-	lay := l.Struct.Layout
+// the slowest tile's scaled schedule; energy sums over tiles.
+func phase3Reduce(l Layer, cfg Config, accs []tileAcc, windows, sampled int, msh *metrics.Shard) LayerResult {
 	g := cfg.Geometry
 	adcBits := cfg.ADCBits()
 	cycleTime := cfg.CycleTime()
 	eCfg := cfg.Energy
-	spi := cfg.Quant.SlicesPerInput()
 	scale := float64(windows) / float64(sampled)
 	reorders := cfg.Mode.Scheme != compress.Baseline
 	res := LayerResult{Name: l.Name, Windows: windows, Sampled: sampled}
 	ouBase := eCfg.OUBaseEnergy(g.SBL, adcBits)
 	wlE := eCfg.WordlineEnergy(adcBits)
 	var maxCycles, maxStalls, scaledWL int64
-	var staticOcc *metrics.Histogram
-	if msh != nil && !cfg.Mode.DOF {
-		// DOF occupancy is activation-dependent and recorded in phase 1;
-		// static modes drive the same retained rows every slice, so the
-		// histogram is derived once per tile from the plans here.
-		staticOcc = msh.Histogram(occName(cfg.Mode), occupancyBounds)
-	}
 	for t := range accs {
 		acc := &accs[t]
 		scaledCycles := int64(math.Round(float64(acc.total) * scale))
@@ -870,10 +897,6 @@ func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windo
 		res.Energy.Leakage += eCfg.LeakageEnergy(tileTime)
 		if msh != nil {
 			scaledWL += int64(math.Round(float64(acc.drivenWL) * scale))
-			if staticOcc != nil {
-				rb, cb := t/lay.ColBlocks, t%lay.ColBlocks
-				recordStaticOccupancy(staticOcc, &plans[rb][cb], g.SWL, int64(spi)*int64(sampled))
-			}
 		}
 	}
 	res.Cycles = maxCycles
@@ -901,8 +924,7 @@ func phase3Reduce(l Layer, cfg Config, plans [][]tilePlan, accs []tileAcc, windo
 // p1Input is one activation input's phase-1 view. Exactly one of the
 // derivation tiers is used per window: the cached slice-mask plane
 // (mp), the cached code plane (plane), or a per-worker clone of the
-// source (acts). Single-input simulations pass one of these; batched
-// multi-activation sweeps pass one per coalesced input.
+// source (acts). A run passes one per input.
 type p1Input struct {
 	plane []uint32
 	mp    *maskPlane
@@ -911,11 +933,11 @@ type p1Input struct {
 
 // kernelPhase1 returns the word-plane phase-1 shard body over the
 // flattened (input, window) index space (idx = input·sampled+window;
-// single-input runs pass one input, so idx degenerates to the window
-// index). For each window it derives all activation bit-slice masks in
-// one sweep (bitset.BuildSliceMasks) — or reads them straight from the
-// input's cached mask plane — then makes one fused bitset.TileOUs call
-// per (window, tile), which sums the OUs and driven wordlines over all
+// a single run passes one input, so idx is the window index). For each
+// window it derives all activation bit-slice masks in one sweep
+// (bitset.BuildSliceMasks) — or reads them straight from the input's
+// cached mask plane — then makes one fused bitset.TileOUs call per
+// (window, tile), which sums the OUs and driven wordlines over all
 // slices and column groups at once. A metered run (msh non-nil) also
 // has that call tally the fill classes of the partial OUs, and records
 // the chunk's occupancy histogram from the tally once per chunk.

@@ -86,8 +86,7 @@ func TestGoldenTailShapes(t *testing.T) {
 				}
 				meteredReg := cfg.Metrics
 				cfg.Metrics = nil
-				cfg.ScalarReference = true
-				scalar, err := SimulateLayerContext(ctx, layer, cfg)
+				scalar, err := scalarSimulateLayer(ctx, layer, cfg)
 				if err != nil {
 					t.Fatalf("OU %d %v workers=%d scalar: %v", ou, mode, workers, err)
 				}
@@ -97,7 +96,7 @@ func TestGoldenTailShapes(t *testing.T) {
 				}
 				kernelOcc := meteredReg.Snapshot().Histograms[occName(mode)]
 				cfg.Metrics = metrics.NewRegistry()
-				if _, err := SimulateLayerContext(ctx, layer, cfg); err != nil {
+				if _, err := scalarSimulateLayer(ctx, layer, cfg); err != nil {
 					t.Fatalf("OU %d %v workers=%d metered scalar: %v", ou, mode, workers, err)
 				}
 				scalarOcc := cfg.Metrics.Snapshot().Histograms[occName(mode)]
@@ -129,8 +128,7 @@ func TestGoldenKernelMatchesScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v workers=%d kernel: %v", mode, workers, err)
 			}
-			cfg.ScalarReference = true
-			scalar, err := SimulateLayerContext(ctx, layer, cfg)
+			scalar, err := scalarSimulateLayer(ctx, layer, cfg)
 			if err != nil {
 				t.Fatalf("%v workers=%d scalar: %v", mode, workers, err)
 			}
@@ -155,8 +153,7 @@ func TestGoldenSampledWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.ScalarReference = true
-		scalar, err := SimulateLayerContext(ctx, layer, cfg)
+		scalar, err := scalarSimulateLayer(ctx, layer, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,9 +228,8 @@ func TestGoldenMeteredScalarOccupancy(t *testing.T) {
 			t.Fatal(err)
 		}
 		kernel := cfg.Metrics.Snapshot().Histograms[occName(mode)]
-		cfg.ScalarReference = true
 		cfg.Metrics = metrics.NewRegistry()
-		if _, err := SimulateLayerContext(ctx, layer, cfg); err != nil {
+		if _, err := scalarSimulateLayer(ctx, layer, cfg); err != nil {
 			t.Fatal(err)
 		}
 		scalar := cfg.Metrics.Snapshot().Histograms[occName(mode)]

@@ -13,8 +13,7 @@
 // The cached masks are exactly the words BuildSliceMasks would have
 // produced per window, so phase-1 results are bit-identical with the
 // cache on or off (golden tests enforce this through the existing
-// cached-vs-uncached comparisons). Config.NoCodeCache opts out of this
-// cache together with the code plane it derives from.
+// cached-vs-uncached comparisons).
 package core
 
 import (

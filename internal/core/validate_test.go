@@ -82,3 +82,26 @@ func TestInvalidModeCombosRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchWindowMismatchErrors pins that a substituted source must
+// agree with its layer on the window count: for a static and a DOF
+// mode, the batched network engine reports an error naming the layer
+// and the batch input rather than simulating a different shape.
+func TestBatchWindowMismatchErrors(t *testing.T) {
+	layer := goldenLayer(t)
+	short := &sliceSource{rows: layer.Acts.(*cloneableSource).rows[:4]}
+	batch := []BatchInput{{}, {Sources: []ActivationSource{short}}}
+	for _, mode := range []Mode{ModeORC, ModeORCDOF} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		_, err := SimulateNetworkBatchContext(context.Background(), []Layer{layer}, cfg, batch)
+		if err == nil {
+			t.Fatalf("%v: accepted a 4-window source for a 9-window layer", mode)
+		}
+		for _, want := range []string{`"golden"`, "batch input 1", "4 windows"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v: error %v does not mention %q", mode, err, want)
+			}
+		}
+	}
+}

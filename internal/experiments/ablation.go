@@ -102,8 +102,7 @@ func AblationOCC(opt Options) (*Table, error) {
 			return core.SimulateNetwork(layers, core.Config{
 				Geometry: g, Quant: p, Mode: m, IndexBits: spec.IndexBits,
 				MaxWindows: opt.maxWindows(), Workers: opt.Workers,
-				NoCodeCache: opt.NoCodeCache,
-				Energy:      energy.Default(),
+				Energy: energy.Default(),
 			})
 		}
 		base := sim(core.ModeBaseline)
@@ -158,8 +157,7 @@ func AblationBuffer(opt Options) (*Table, error) {
 		for i, bc := range buffers {
 			cfg := core.Config{Geometry: g, Quant: p, Mode: mode,
 				IndexBits: spec.IndexBits, MaxWindows: opt.maxWindows(),
-				Workers: opt.Workers, NoCodeCache: opt.NoCodeCache,
-				Energy: energy.Default(), Buffer: bc.cfg}
+				Workers: opt.Workers, Energy: energy.Default(), Buffer: bc.cfg}
 			res := core.SimulateNetwork(b.Layers, cfg)
 			if i == 0 {
 				baseCycles = res.Cycles

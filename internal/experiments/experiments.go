@@ -32,9 +32,6 @@ type Options struct {
 	MaxWindows int  // per-layer window sampling cap (0 → default 48)
 	Quick      bool // trim sweeps for fast CI/bench runs
 	Workers    int  // simulation worker-pool width (0 = GOMAXPROCS)
-	// NoCodeCache disables the per-layer window-code plane cache
-	// (results are bit-identical either way; see core.Config).
-	NoCodeCache bool
 	// Metrics, when non-nil, collects run observability across every
 	// simulation an experiment performs (see internal/metrics).
 	Metrics *metrics.Registry
@@ -239,16 +236,15 @@ func simulate(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geome
 // simulateOn is simulate drawing from a shared pool (nil = own pool).
 func simulateOn(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options, pool *parallel.Pool) core.NetworkResult {
 	cfg := core.Config{
-		Geometry:    g,
-		Quant:       p,
-		Mode:        mode,
-		IndexBits:   indexBits,
-		MaxWindows:  opt.maxWindows(),
-		Workers:     opt.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		Metrics:     opt.Metrics,
-		NoCodeCache: opt.NoCodeCache,
+		Geometry:   g,
+		Quant:      p,
+		Mode:       mode,
+		IndexBits:  indexBits,
+		MaxWindows: opt.maxWindows(),
+		Workers:    opt.Workers,
+		Pool:       pool,
+		Energy:     energy.Default(),
+		Metrics:    opt.Metrics,
 	}
 	return core.SimulateNetwork(b.Layers, cfg)
 }

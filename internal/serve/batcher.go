@@ -39,10 +39,10 @@ import (
 
 // BatchKey groups requests that may share one sweep: the resident
 // network plus every run option that changes results. (Worker width
-// and the code cache do not — results are bit-identical either way.
-// The activation seed changes results but deliberately stays out of
-// the key: differing seeds coalesce into one batched multi-activation
-// sweep and fan back out per seed.)
+// does not — results are bit-identical at any width. The activation
+// seed changes results but deliberately stays out of the key:
+// differing seeds coalesce into one batched multi-activation sweep and
+// fan back out per seed.)
 type BatchKey struct {
 	Key        Key
 	MaxWindows int
@@ -250,28 +250,8 @@ func (b *Batcher) sweep(ctx context.Context, key BatchKey, bt *batch) batchResul
 		sre.WithIndexBits(key.IndexBits),
 		sre.WithWorkers(b.workers),
 	}, b.opts...)
-	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(bt.acts))
-	if len(bt.acts) == 1 && bt.acts[0] == 0 {
-		// Every waiter wants the network's own activations: the plain
-		// mode sweep (the historical path, byte-identical responses).
-		results, err := net.RunModesContext(ctx, bt.modes, opts...)
-		if err != nil {
-			return batchResult{err: err}
-		}
-		byMode := make(map[sre.Mode]sre.Result, len(results))
-		for _, r := range results {
-			// Strip the sweep-wide metrics snapshot: responses must be
-			// bit-identical to a direct run, and /metrics serves the
-			// aggregate view.
-			r.Metrics = nil
-			byMode[r.Mode] = r
-		}
-		byAct[0] = byMode
-		b.populate(key, byAct)
-		return batchResult{byAct: byAct}
-	}
-	// Waiters differ (only) in their activation seed: run the union as
-	// one batched multi-activation sweep and fan out per (seed, mode).
+	// Waiters differ (at most) in their activation seed: run the union
+	// as one batched multi-activation sweep and fan out per (seed, mode).
 	sets := make([]sre.ActivationSet, len(bt.acts))
 	for i, seed := range bt.acts {
 		sets[i] = sre.ActivationSet{ActSeed: seed}
@@ -280,9 +260,13 @@ func (b *Batcher) sweep(ctx context.Context, key BatchKey, bt *batch) batchResul
 	if err != nil {
 		return batchResult{err: err}
 	}
+	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(bt.acts))
 	for i, seed := range bt.acts {
 		byMode := make(map[sre.Mode]sre.Result, len(grid[i]))
 		for _, r := range grid[i] {
+			// Strip the sweep-wide metrics snapshot: responses must be
+			// bit-identical to a direct run, and /metrics serves the
+			// aggregate view.
 			r.Metrics = nil
 			byMode[r.Mode] = r
 		}

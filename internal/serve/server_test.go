@@ -487,7 +487,7 @@ func TestHealthz(t *testing.T) {
 // must coalesce into ONE sweep (one batched RunBatchContext under the
 // hood), and each requester's results must be bit-identical to the
 // same request swept alone — including the act_seed 0 requester, whose
-// solo path is the historical RunModesContext sweep.
+// solo sweep is a batch of its one (own) activation set.
 func TestActSeedCoalescing(t *testing.T) {
 	reqBody := func(seed uint64) string {
 		return fmt.Sprintf(

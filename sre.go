@@ -275,7 +275,6 @@ type settings struct {
 	actSp       float64 // Build: overall activation-sparsity target
 	progress    func(Progress)
 	metrics     *metrics.Registry
-	noCodeCache bool
 	snapshotDir string
 }
 
@@ -347,16 +346,6 @@ func WithSliceCap(n int) Option { return func(s *settings) { s.cfg.SliceCap = n 
 // completes. Calls are serialized but may arrive out of layer order
 // when layers overlap on the worker pool.
 func WithProgress(fn func(Progress)) Option { return func(s *settings) { s.progress = fn } }
-
-// WithCodeCache enables or disables the per-layer window-code plane
-// cache for a run (default enabled). With it on, RunAll's modes
-// share one materialization of each layer's sampled activation codes;
-// off, every mode re-reads the activation source per window. Results
-// are bit-identical either way — disable it only to bound memory on
-// very large unsampled runs or to benchmark the uncached path.
-func WithCodeCache(enabled bool) Option {
-	return func(s *settings) { s.noCodeCache = !enabled }
-}
 
 // Metrics is a run-observability registry (see WithMetrics). Create one
 // with NewMetrics; a nil registry disables collection at zero cost.
@@ -783,18 +772,11 @@ func (n *Network) Run(mode Mode) (Result, error) {
 // seed, prune style) are rejected. The simulation stops early and
 // returns ctx.Err when the context is cancelled.
 func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Result, error) {
-	s, err := n.runSettings(opts)
+	out, err := n.RunModesContext(ctx, []Mode{mode}, opts...)
 	if err != nil {
 		return Result{}, err
 	}
-	out, err := n.runContext(ctx, mode, nil, s)
-	if err != nil {
-		return Result{}, err
-	}
-	if s.metrics != nil {
-		out.Metrics = s.metrics.Snapshot()
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // runSettings resolves per-run options against the build-time config,
@@ -809,76 +791,68 @@ func (n *Network) runSettings(opts []Option) (settings, error) {
 	return s, nil
 }
 
-// runContext simulates one mode under resolved run settings. It leaves
-// Result.Metrics to its caller, which snapshots the registry once its
-// own modes are all done.
-func (n *Network) runContext(ctx context.Context, mode Mode, pool *parallel.Pool, s settings) (Result, error) {
-	cm, err := mode.coreMode()
-	if err != nil {
-		return Result{}, err
+// coreConfig is the simulator configuration of one run: this network's
+// build point and the run settings s, under core mode cm, drawing from
+// pool (nil: a pool of the run's worker width).
+func (n *Network) coreConfig(s settings, cm core.Mode, pool *parallel.Pool) core.Config {
+	return core.Config{
+		Geometry:   n.cfg.geometry(),
+		Quant:      n.cfg.params(),
+		Mode:       cm,
+		IndexBits:  n.indexBitsFor(s.cfg),
+		MaxWindows: s.cfg.MaxWindows,
+		Workers:    s.cfg.Workers,
+		Pool:       pool,
+		Energy:     energy.Default(),
+		NoC:        noc.Default(),
+		Metrics:    s.metrics,
 	}
-	indexBits := n.indexBitsFor(s.cfg)
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        cm,
-		IndexBits:   indexBits,
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
-	}
-	if s.progress != nil {
-		progress := s.progress
-		cfg.Progress = func(ev core.ProgressEvent) {
-			progress(Progress{
-				Network: n.name, Mode: mode,
-				LayerIndex: ev.Index, LayerCount: ev.Count, LayersDone: ev.Done,
-				Layer: LayerResult{Name: ev.Layer.Name, Cycles: ev.Layer.Cycles,
-					Seconds: ev.Layer.Time, Energy: Breakdown(ev.Layer.Energy)},
-				OUEvents: ev.Layer.OUEvents,
-				Windows:  ev.Layer.Windows,
-				Sampled:  ev.Layer.Sampled,
-			})
+}
+
+// results assembles the public Results of one simulated configuration,
+// one per activation set: each NetworkResult's totals and per-layer
+// rows, plus the weight scheme's compression ratio, index storage and
+// elided groups over layers. Those depend only on the scheme, so they
+// are computed once; OCC layers report their column-compressed
+// structures and output indexes. Callers set Mode and Metrics.
+func (n *Network) results(cfg core.Config, layers []core.Layer, ress []core.NetworkResult) []Result {
+	var total, comp, storage, elided int64
+	for _, l := range layers {
+		total += l.Struct.Layout.TotalCells()
+		if cfg.Mode.Scheme == compress.OCC {
+			comp += l.OCC.CompressedCells()
+			storage += l.OCC.OutputIndexBits()
+			continue
 		}
+		comp += l.Struct.CompressedCells(cfg.Mode.Scheme, cfg.IndexBits)
+		storage += l.Struct.IndexStorageBits(cfg.Mode.Scheme, cfg.IndexBits)
+		elided += l.Struct.EmptyGroups(cfg.Mode.Scheme, cfg.IndexBits)
 	}
-	res, err := core.SimulateNetworkContext(ctx, n.built.Layers, cfg)
-	if err != nil {
-		return Result{}, err
+	out := make([]Result, len(ress))
+	for j, res := range ress {
+		r := Result{
+			Version:          ResultVersion,
+			Network:          n.name,
+			Cycles:           res.Cycles,
+			Seconds:          res.Time,
+			Energy:           Breakdown(res.Energy),
+			IndexStorageBits: storage,
+			ElidedGroups:     elided,
+		}
+		if comp > 0 {
+			r.CompressionRatio = float64(total) / float64(comp)
+		}
+		for _, lr := range res.Layers {
+			r.Layers = append(r.Layers, layerResult(lr))
+		}
+		out[j] = r
 	}
-	out := Result{
-		Version: ResultVersion,
-		Network: n.name,
-		Mode:    mode,
-		Cycles:  res.Cycles,
-		Seconds: res.Time,
-		Energy:  Breakdown(res.Energy),
-	}
-	for _, lr := range res.Layers {
-		out.Layers = append(out.Layers, LayerResult{
-			Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time,
-			Energy: Breakdown(lr.Energy),
-		})
-	}
-	// Compression ratio, index storage, and elided groups of the mode's
-	// weight scheme.
-	var totalCells, compCells int64
-	var storage, elided int64
-	for _, l := range n.built.Layers {
-		totalCells += l.Struct.Layout.TotalCells()
-		compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
-		storage += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
-		elided += l.Struct.EmptyGroups(cm.Scheme, indexBits)
-	}
-	if compCells > 0 {
-		out.CompressionRatio = float64(totalCells) / float64(compCells)
-	}
-	out.IndexStorageBits = storage
-	out.ElidedGroups = elided
-	return out, nil
+	return out
+}
+
+// layerResult converts one simulated layer to its public form.
+func layerResult(lr core.LayerResult) LayerResult {
+	return LayerResult{Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time, Energy: Breakdown(lr.Energy)}
 }
 
 // RunAll simulates every mode concurrently and returns results in
@@ -898,42 +872,14 @@ func (n *Network) RunAllContext(ctx context.Context, opts ...Option) ([]Result, 
 // RunModesContext simulates the given modes — any non-empty subset of
 // Modes(), in any order — concurrently through one shared worker pool,
 // exactly as RunAllContext does for the full set. Results come back in
-// the order modes was given. It is the primitive sreserved's
-// micro-batcher uses to run the union of a batch's requested modes as
-// one sweep.
+// the order modes was given. It is RunBatchContext over the network's
+// own activations.
 func (n *Network) RunModesContext(ctx context.Context, modes []Mode, opts ...Option) ([]Result, error) {
-	if len(modes) == 0 {
-		return nil, fmt.Errorf("sre: RunModesContext needs at least one mode")
-	}
-	s, err := n.runSettings(opts)
+	out, err := n.RunBatchContext(ctx, modes, []ActivationSet{{}}, opts...)
 	if err != nil {
 		return nil, err
 	}
-	pool := parallel.New(s.cfg.Workers)
-	out := make([]Result, len(modes))
-	errs := make([]error, len(modes))
-	poolErr := pool.For(ctx, len(modes), func(start, end int) {
-		for i := start; i < end; i++ {
-			out[i], errs[i] = n.runContext(ctx, modes[i], pool, s)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	if s.metrics != nil {
-		// Snapshot once every mode is done, so all results agree on the
-		// sweep-wide totals.
-		snap := s.metrics.Snapshot()
-		for i := range out {
-			out[i].Metrics = snap
-		}
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // ActivationSet selects one activation assignment of a batched run
@@ -962,14 +908,14 @@ func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) (
 // plans, window-code and slice-mask planes, scratch arenas, and (for
 // the static modes, which never read activation values) the entire
 // simulation — so a coalesced sweep is sub-linear in the number of
-// sets. Modes run concurrently through one shared worker pool, exactly
-// as RunModesContext. Per-run options follow RunContext's rules;
-// WithProgress is not invoked on the batched path. It is the primitive
-// sreserved's micro-batcher uses to serve coalesced requests that
-// differ only in their activation seed.
+// sets. Modes run concurrently through one shared worker pool. Per-run
+// options follow RunContext's rules; WithProgress reports each mode's
+// layers once each, with the first set's LayerResult. Every other run
+// method is a batch of one set, and sreserved's micro-batcher runs its
+// coalesced requests through it.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
-		return nil, fmt.Errorf("sre: RunBatchContext needs at least one mode")
+		return nil, fmt.Errorf("sre: a run needs at least one mode")
 	}
 	if len(acts) == 0 {
 		return nil, fmt.Errorf("sre: RunBatchContext needs at least one activation set")
@@ -992,7 +938,7 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 	errs := make([]error, len(modes))
 	poolErr := pool.For(ctx, len(modes), func(start, end int) {
 		for i := start; i < end; i++ {
-			errs[i] = n.runBatchMode(ctx, modes[i], pool, s, batch, out, i)
+			errs[i] = n.runMode(ctx, modes[i], pool, s, batch, out, i)
 		}
 	})
 	for _, err := range errs {
@@ -1004,8 +950,8 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 		return nil, poolErr
 	}
 	if s.metrics != nil {
-		// As in RunModesContext: re-snapshot once every mode is done so
-		// all results agree on the sweep-wide totals.
+		// Snapshot once every mode is done, so all results agree on the
+		// sweep-wide totals.
 		snap := s.metrics.Snapshot()
 		for j := range out {
 			for i := range out[j] {
@@ -1016,62 +962,34 @@ func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []Acti
 	return out, nil
 }
 
-// runBatchMode runs one mode of a batched sweep and fills column mi of
-// the [set][mode] result grid.
-func (n *Network) runBatchMode(ctx context.Context, mode Mode, pool *parallel.Pool,
+// runMode runs one mode of a sweep over every activation set and fills
+// column mi of the [set][mode] result grid.
+func (n *Network) runMode(ctx context.Context, mode Mode, pool *parallel.Pool,
 	s settings, batch []core.BatchInput, out [][]Result, mi int) error {
 	cm, err := mode.coreMode()
 	if err != nil {
 		return err
 	}
-	indexBits := n.indexBitsFor(s.cfg)
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        cm,
-		IndexBits:   indexBits,
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Pool:        pool,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
+	cfg := n.coreConfig(s, cm, pool)
+	if s.progress != nil {
+		progress := s.progress
+		cfg.Progress = func(ev core.ProgressEvent) {
+			progress(Progress{
+				Network: n.name, Mode: mode,
+				LayerIndex: ev.Index, LayerCount: ev.Count, LayersDone: ev.Done,
+				Layer:    layerResult(ev.Layer),
+				OUEvents: ev.Layer.OUEvents,
+				Windows:  ev.Layer.Windows,
+				Sampled:  ev.Layer.Sampled,
+			})
+		}
 	}
 	ress, err := core.SimulateNetworkBatchContext(ctx, n.built.Layers, cfg, batch)
 	if err != nil {
 		return err
 	}
-	// The mode's compression ratio, index storage, and elided groups
-	// depend only on the weight scheme: compute once, replicate across
-	// sets.
-	var totalCells, compCells, storage, elided int64
-	for _, l := range n.built.Layers {
-		totalCells += l.Struct.Layout.TotalCells()
-		compCells += l.Struct.CompressedCells(cm.Scheme, indexBits)
-		storage += l.Struct.IndexStorageBits(cm.Scheme, indexBits)
-		elided += l.Struct.EmptyGroups(cm.Scheme, indexBits)
-	}
-	for j, res := range ress {
-		r := Result{
-			Version: ResultVersion,
-			Network: n.name,
-			Mode:    mode,
-			Cycles:  res.Cycles,
-			Seconds: res.Time,
-			Energy:  Breakdown(res.Energy),
-		}
-		for _, lr := range res.Layers {
-			r.Layers = append(r.Layers, LayerResult{
-				Name: lr.Name, Cycles: lr.Cycles, Seconds: lr.Time,
-				Energy: Breakdown(lr.Energy),
-			})
-		}
-		if compCells > 0 {
-			r.CompressionRatio = float64(totalCells) / float64(compCells)
-		}
-		r.IndexStorageBits = storage
-		r.ElidedGroups = elided
+	for j, r := range n.results(cfg, n.built.Layers, ress) {
+		r.Mode = mode
 		out[j][mi] = r
 	}
 	return nil
@@ -1116,39 +1034,15 @@ func (n *Network) RunOCC(opts ...Option) (Result, error) {
 	for i := range layers {
 		layers[i].OCC = n.occ[i]
 	}
-	cfg := core.Config{
-		Geometry:    n.cfg.geometry(),
-		Quant:       n.cfg.params(),
-		Mode:        core.ModeOCC,
-		IndexBits:   n.indexBits(),
-		MaxWindows:  s.cfg.MaxWindows,
-		Workers:     s.cfg.Workers,
-		Energy:      energy.Default(),
-		NoC:         noc.Default(),
-		Metrics:     s.metrics,
-		NoCodeCache: s.noCodeCache,
+	cfg := n.coreConfig(s, core.ModeOCC, nil)
+	res, err := core.SimulateNetworkContext(context.Background(), layers, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-	res := core.SimulateNetwork(layers, cfg)
-	out := Result{
-		Version: ResultVersion,
-		Network: n.name,
-		Cycles:  res.Cycles,
-		Seconds: res.Time,
-		Energy:  Breakdown(res.Energy),
-	}
+	out := n.results(cfg, layers, []core.NetworkResult{res})[0]
 	if s.metrics != nil {
 		out.Metrics = s.metrics.Snapshot()
 	}
-	var total, comp, outBits int64
-	for i := range layers {
-		total += layers[i].Struct.Layout.TotalCells()
-		comp += n.occ[i].CompressedCells()
-		outBits += n.occ[i].OutputIndexBits()
-	}
-	if comp > 0 {
-		out.CompressionRatio = float64(total) / float64(comp)
-	}
-	out.IndexStorageBits = outBits
 	return out, nil
 }
 

@@ -165,6 +165,43 @@ func TestRunBatchWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestRunBatchProgress pins the batched progress contract: each layer
+// reports exactly once, with the first set's LayerResult (here a
+// variant seed, so it differs from the network's own activations), and
+// LayersDone counts up to LayerCount.
+func TestRunBatchProgress(t *testing.T) {
+	net, err := Load("MNIST", smallOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []Progress
+	grid, err := net.RunBatchContext(context.Background(), []Mode{ORCDOF},
+		[]ActivationSet{{ActSeed: 77}, {}},
+		WithProgress(func(p Progress) { events = append(events, p) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != net.LayerCount() {
+		t.Fatalf("%d progress events for %d layers", len(events), net.LayerCount())
+	}
+	seen := make(map[int]bool)
+	for i, ev := range events {
+		if seen[ev.LayerIndex] {
+			t.Fatalf("layer %d reported twice", ev.LayerIndex)
+		}
+		seen[ev.LayerIndex] = true
+		if ev.LayersDone != i+1 || ev.LayerCount != net.LayerCount() || ev.Mode != ORCDOF {
+			t.Fatalf("event %d: %+v", i, ev)
+		}
+		if want := grid[0][0].Layers[ev.LayerIndex]; ev.Layer != want {
+			t.Fatalf("layer %d: progress reports %+v, first set's result is %+v", ev.LayerIndex, ev.Layer, want)
+		}
+	}
+	if grid[0][0].Cycles == grid[1][0].Cycles {
+		t.Fatal("the variant set matched the own activations; the first-set check is vacuous")
+	}
+}
+
 // TestRunBatchMeteredOccupancy pins the batched DOF engine's metering
 // over a mix of own and variant activation sets. With sampling off
 // every simulated OU is observed once, so each DOF mode's occupancy

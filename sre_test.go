@@ -300,6 +300,18 @@ func TestRunOCC(t *testing.T) {
 	if occ.IndexStorageBits <= 0 {
 		t.Fatal("OCC must report output-index storage")
 	}
+	// CIFAR-10 has no parallel layer groups, so its layers run back to
+	// back and their cycles sum to the network's.
+	if len(occ.Layers) != net.LayerCount() {
+		t.Fatalf("OCC reports %d layers, network has %d", len(occ.Layers), net.LayerCount())
+	}
+	var sum int64
+	for _, l := range occ.Layers {
+		sum += l.Cycles
+	}
+	if sum != occ.Cycles {
+		t.Fatalf("OCC layer cycles sum to %d, network reports %d", sum, occ.Cycles)
+	}
 	// Lazy structures are cached: second run must agree.
 	again, err := net.RunOCC()
 	if err != nil {

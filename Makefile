@@ -4,34 +4,7 @@
 
 GO ?= go
 
-# Where `make bench` records its machine-readable results. Each PR's
-# bench run gets its own file (BENCH_PR2.json, BENCH_PR3.json, …) so the
-# history stays comparable; override on the command line:
-#   make bench BENCH_OUT=BENCH_PR5.json
-BENCH_OUT ?= BENCH_PR7.json
-
-# Baseline for `make bench-compare` (recorded by `make bench-rebaseline`
-# from the pre-PR tree — see that rule's comment):
-#   make bench-compare BENCH_OLD=BENCH_PR2.json BENCH_OUT=BENCH_PR3.json
-BENCH_OLD ?= BENCH_PR7_BASE.json
-
-# Repeats per benchmark for `make bench` / `make bench-rebaseline`.
-# With BENCH_COUNT > 1, go test reruns each benchmark that many times
-# and benchjson folds the repeats into per-unit median (Metrics) and
-# minimum (Min) — use ≥5 on shared or single-core boxes where one
-# noisy repeat would otherwise be the whole record.
-BENCH_COUNT ?= 1
-
-# The benchmark set `make bench` records: the per-mode layer-engine
-# benches (kernel vs scalar reference) in internal/core, the six-mode
-# VGG-16 sweep in the root package, plus the popcount-kernel and
-# plane-construction microbenches in internal/bitset (the fused TileOUs
-# kernel with and without the metered fill tally) so kernel-dispatch
-# regressions show up in the same trajectory record.
-BENCH_PATTERN = BenchmarkSimulateLayer|BenchmarkVGG16Sweep|BenchmarkBatchedSweep
-BENCH_PATTERN_BITSET = BenchmarkCountWords|BenchmarkCountAndPlanes|BenchmarkBuildSliceMasks|BenchmarkTileOUs
-
-.PHONY: all build fmt-check vet test race bench-smoke smoke verify bench bench-rebaseline bench-quick bench-sweep bench-compare bench-coldstart bench-load bench-cluster experiments snapshot-roundtrip results profile clean
+.PHONY: all build fmt-check vet test race bench-smoke smoke verify bench-quick bench-sweep bench-load bench-cluster experiments snapshot-roundtrip results profile clean
 
 all: verify
 
@@ -52,7 +25,7 @@ race:
 	$(GO) test -race ./...
 
 # bench-smoke compiles and runs every benchmark exactly once so a broken
-# benchmark can't hide until the next full `make bench`.
+# benchmark can't hide.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -72,37 +45,6 @@ smoke:
 	./scripts/smoke_sreserved.sh ./bin/sreserved ./bin/sreload
 	./scripts/smoke_cluster.sh ./bin/sreserved
 
-# bench runs the simulator hot-path benchmarks (per-mode kernel vs
-# scalar reference, the six-mode VGG-16 sweep, the batched
-# multi-activation sweep, and the bitset popcount/plane kernels) with
-# -benchmem and records ns/op, B/op, and allocs/op in $(BENCH_OUT).
-# BENCH_COUNT > 1 repeats each benchmark and records min/median.
-bench:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	($(GO) test -run=NONE -bench '$(BENCH_PATTERN)' \
-		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) . ./internal/core && \
-	 $(GO) test -run=NONE -bench '$(BENCH_PATTERN_BITSET)' \
-		-benchmem -benchtime 0.5s -count $(BENCH_COUNT) ./internal/bitset) \
-		| ./bin/benchjson -count $(BENCH_COUNT) -out $(BENCH_OUT)
-
-# bench-rebaseline re-records the benchmark baseline on THIS machine
-# into $(BENCH_BASE). Benchmark records made on different hosts (or
-# even hours apart on a busy shared box) are not comparable — the PR4
-# numbers in BENCH_PR4.json came from a different core count than the
-# box that judges this PR. So before trusting `make bench-compare`:
-#
-#   1. check out the pre-PR tree (e.g. `git worktree add /tmp/sre-base
-#      <base-commit>`), copy bin/benchjson there or use this tree's,
-#   2. run `make bench-rebaseline` in that tree (writes BENCH_PR7_BASE.json),
-#   3. copy the file here, then run `make bench && make bench-compare`
-#      back-to-back so both records see the same machine state.
-#
-# Use BENCH_COUNT=5 (or more) on noisy boxes; the compare then shows
-# median and min rows instead of a single unlucky sample.
-BENCH_BASE ?= BENCH_PR7_BASE.json
-bench-rebaseline:
-	$(MAKE) bench BENCH_OUT=$(BENCH_BASE)
-
 # bench-quick: every figure/table regeneration benchmark, one iteration.
 bench-quick:
 	$(GO) test -bench . -benchtime 1x -run=NONE .
@@ -112,20 +54,6 @@ bench-quick:
 # either way).
 bench-sweep:
 	$(GO) test -bench 'BenchmarkVGG16Sweep' -benchtime 2x -run=NONE .
-
-# bench-compare prints the per-benchmark ns/op, B/op, and allocs/op
-# deltas between the previous PR's record and the current one.
-bench-compare:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	./bin/benchjson -compare $(BENCH_OLD) $(BENCH_OUT)
-
-# bench-coldstart records the snapshot format's acceptance numbers:
-# VGG-16 cold start through a full build vs through OpenSnapshot
-# (expect OpenSnapshot ≥10x faster).
-bench-coldstart:
-	$(GO) build -o bin/benchjson ./cmd/benchjson
-	$(GO) test -run=NONE -bench 'BenchmarkColdStart' \
-		-benchmem -benchtime 2x . | ./bin/benchjson -out BENCH_PR6.json
 
 # bench-load records the serving SLO numbers: sreload replays a skewed
 # repeated-key workload against sreserved with the result cache off,
@@ -192,4 +120,4 @@ profile:
 
 clean:
 	$(GO) clean ./...
-	rm -f bin/benchjson bin/srebench bin/sreserved bin/sreload bin/sresim cpu.pprof mem.pprof
+	rm -f bin/srebench bin/sreserved bin/sreload bin/sresim cpu.pprof mem.pprof

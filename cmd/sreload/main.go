@@ -30,7 +30,7 @@
 // rather than "build the network".
 //
 // Results print as a go-test-style benchmark line and can be appended
-// to a benchjson-shaped JSON record (-out, -append), which is how
+// to a BENCH_*.json record (-out, -append), which is how
 // `make bench-load` accumulates the cache-off and cache-on runs into
 // one BENCH file:
 //
@@ -126,7 +126,7 @@ func main() {
 		warmup   = flag.Bool("warmup", true, "issue one unmeasured request per (key, seed) cell first")
 		seed     = flag.Int64("seed", 1, "workload RNG seed (per-client streams derive from it)")
 		label    = flag.String("label", "", "benchmark label suffix (e.g. cache=on)")
-		out      = flag.String("out", "", "write (or with -append, extend) a benchjson-shaped record here")
+		out      = flag.String("out", "", "write (or with -append, extend) a BENCH_*.json-shaped record here")
 		appendFl = flag.Bool("append", false, "append to -out instead of overwriting")
 	)
 	flag.Parse()
@@ -367,9 +367,8 @@ func scrapeForwarded(addrs []string) float64 {
 	return total
 }
 
-// benchmark and record mirror cmd/benchjson's JSON shapes, so
-// BENCH files written here compare with `benchjson -compare` and sit
-// alongside the go-test-derived records.
+// benchmark and record are the JSON shapes of the repository's
+// BENCH_*.json records, so files written here sit alongside them.
 type benchmark struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
@@ -384,7 +383,7 @@ type record struct {
 }
 
 // writeRecord writes (or, when append is set and the file exists,
-// extends) the benchjson-shaped record at path with b. A re-run with
+// extends) the BENCH_*.json-shaped record at path with b. A re-run with
 // the same label replaces that benchmark instead of duplicating it.
 func writeRecord(path string, appendTo bool, b benchmark) error {
 	rec := record{GoOS: runtime.GOOS, GoArch: runtime.GOARCH, Pkg: "sre/cmd/sreload"}

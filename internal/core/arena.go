@@ -1,6 +1,6 @@
 // Per-worker scratch arenas: simulateLayer's transient state — the
 // per-tile plan grid, phase-1 DOF batch slots, phase-2 tile
-// accumulators, and each phase-1 worker's mask/count scratch — is
+// accumulators, and each phase-1 chunk's code and mask scratch — is
 // recycled through sync.Pools instead of being reallocated per call.
 // A six-mode sweep calls simulateLayer 6·layers times and phase 1
 // checks scratch out once per window chunk, so steady-state allocation
@@ -18,7 +18,6 @@ package core
 import (
 	"sync"
 
-	"sre/internal/bitset"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
 )
@@ -114,27 +113,20 @@ func (ls *layerScratch) tileAccs(n int) []tileAcc {
 	return ls.accs
 }
 
-// p1Scratch is one phase-1 worker's scratch block: the window code
-// buffer, the (row block, slice) mask plane and its per-block headers,
-// and the per-slice row counts of Baseline-scheme runs. backing lays
-// row block rb's masks out as one block, slice s at (rb·spi+s)·maxWords
-// with maxWords = Words64(XbarRows), the layout of the cached mask
-// plane too, so phase 1 hands either block to bitset.TileOUs as is;
-// the headers in masks cut the same words per slice for
-// BuildSliceMasks. The layout stamp (lay, spi) identifies the shapes;
-// a recycled block with a matching stamp is reused as-is because every
-// buffer is fully overwritten per window (BuildSliceMasks rewrites
-// each mask's words).
+// p1Scratch is one phase-1 chunk's scratch block: the window code
+// buffer, a one-window mask plane for windows without a cached one,
+// the slice headers maskPlane.build cuts into it, and the Baseline
+// scheme's OU table. The layout stamp (lay, spi) identifies the
+// shapes; a recycled block with a matching stamp is reused as-is
+// because build overwrites the whole window slot.
 type p1Scratch struct {
 	lay mapping.Layout
 	spi int
 
-	codes    []uint32
-	backing  []uint64
-	masks    [][][]uint64 // [rb][s] -> word mask into backing
-	nonEmpty []uint64
-	sliceNZ  []int
-	ouTab    []int32 // ouTab[nz] = ceil(nz/SWL), nz in [0, XbarRows]
+	codes []uint32
+	mp    *maskPlane
+	heads [][]uint64
+	ouTab []int32 // ouTab[nz] = ceil(nz/SWL), nz in [0, XbarRows]
 }
 
 var p1ScratchPool sync.Pool
@@ -156,24 +148,12 @@ func getP1Scratch(lay mapping.Layout, spi int, am arenaMetrics) *p1Scratch {
 
 func (s *p1Scratch) release() { p1ScratchPool.Put(s) }
 
-// shape sizes every buffer for the given layout. Mask headers are cut
-// from one backing array exactly like the pre-arena per-shard setup.
+// shape sizes every buffer for the given layout.
 func (s *p1Scratch) shape(lay mapping.Layout, spi int) {
 	s.lay, s.spi = lay, spi
 	s.codes = make([]uint32, lay.Rows)
-	maxWords := bitset.Words64(lay.XbarRows)
-	s.backing = make([]uint64, lay.RowBlocks*spi*maxWords)
-	s.masks = make([][][]uint64, lay.RowBlocks)
-	for rb := range s.masks {
-		s.masks[rb] = make([][]uint64, spi)
-		words := bitset.Words64(lay.TileRows(rb))
-		for sl := 0; sl < spi; sl++ {
-			off := (rb*spi + sl) * maxWords
-			s.masks[rb][sl] = s.backing[off : off+words]
-		}
-	}
-	s.nonEmpty = make([]uint64, lay.RowBlocks)
-	s.sliceNZ = make([]int, lay.RowBlocks*spi)
+	s.mp = newMaskPlane(1, lay, spi)
+	s.heads = make([][]uint64, spi)
 	// Baseline-scheme phase 1 computes ceil(nz/S_WL) for every
 	// non-empty slice; a lookup table turns that hardware division into
 	// an L1 load. nz never exceeds a tile's rows.

@@ -116,10 +116,9 @@ func (c *CodePlanes) Seed(sampled, rows int, plane []uint32) {
 }
 
 // plane returns the cached [sampled][rows] code plane, building it on
-// first use by reading every sampled window from src once (through a
-// worker-private clone, so a shared source's scratch state is not
-// touched). Returns nil when the plane would exceed the size bound —
-// callers must then read the source per window as before.
+// first use by reading every sampled window from src once. Returns nil
+// when the plane would exceed the size bound; phase 1 then reads the
+// source per window.
 func (c *CodePlanes) plane(src ActivationSource, rows, sampled, windows int, m codeCacheMetrics) []uint32 {
 	if int64(rows)*int64(sampled) > maxCachedPlaneElems {
 		return nil
@@ -140,9 +139,8 @@ func (c *CodePlanes) plane(src ActivationSource, rows, sampled, windows int, m c
 	e.once.Do(func() {
 		m.builds.Inc()
 		p := make([]uint32, sampled*rows)
-		acts := cloneSource(src)
 		for wi := 0; wi < sampled; wi++ {
-			acts.WindowCodes(wi*windows/sampled, p[wi*rows:(wi+1)*rows])
+			src.WindowCodes(wi*windows/sampled, p[wi*rows:(wi+1)*rows])
 		}
 		e.plane = p
 		m.bytes.Add(int64(len(p)) * 4)

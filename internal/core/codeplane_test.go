@@ -179,11 +179,11 @@ func TestCodePlaneSizeBound(t *testing.T) {
 	}
 }
 
-// TestTensorSourceCloneWindowCodes is the clone-correctness check for
-// the traced-activation adapter: clones reading windows in interleaved
-// and reversed orders must reproduce exactly the codes the parent
-// produces in forward order, because each clone owns its im2col scratch
-// while sharing the read-only tensor.
+// TestTensorSourceCloneWindowCodes checks that one TensorSource needs
+// no clone per reader: two readers interleaving windows in forward and
+// reversed order must reproduce exactly the codes of a serial forward
+// pass, because each WindowCodes call gathers its window into a buffer
+// of its own while the tensor is only read.
 func TestTensorSourceCloneWindowCodes(t *testing.T) {
 	x := tensor.New(3, 6, 6)
 	for i := range x.Data() {
@@ -197,31 +197,30 @@ func TestTensorSourceCloneWindowCodes(t *testing.T) {
 		want[w] = make([]uint32, rows)
 		src.WindowCodes(w, want[w])
 	}
-	a := src.CloneSource()
-	b := src.CloneSource()
-	got := make([]uint32, rows)
-	// Interleave two clones over opposite orders; any shared scratch
-	// would cross-contaminate the gathers.
+	a := make([]uint32, rows)
+	b := make([]uint32, rows)
+	// Interleave opposite orders on the same source; any scratch shared
+	// between calls would cross-contaminate the gathers.
 	for w := 0; w < windows; w++ {
-		a.WindowCodes(w, got)
-		for i := range got {
-			if got[i] != want[w][i] {
-				t.Fatalf("clone a window %d row %d: %d != %d", w, i, got[i], want[w][i])
-			}
-		}
 		rev := windows - 1 - w
-		b.WindowCodes(rev, got)
-		for i := range got {
-			if got[i] != want[rev][i] {
-				t.Fatalf("clone b window %d row %d: %d != %d", rev, i, got[i], want[rev][i])
+		src.WindowCodes(w, a)
+		src.WindowCodes(rev, b)
+		for i := range a {
+			if a[i] != want[w][i] {
+				t.Fatalf("forward reader window %d row %d: %d != %d", w, i, a[i], want[w][i])
+			}
+			if b[i] != want[rev][i] {
+				t.Fatalf("reverse reader window %d row %d: %d != %d", rev, i, b[i], want[rev][i])
 			}
 		}
 	}
 }
 
-// TestTensorSourceConcurrentClones hammers distinct clones of one
-// TensorSource from parallel goroutines; under -race this proves the
-// clone contract (shared tensor read-only, scratch private).
+// TestTensorSourceConcurrentClones reads one shared TensorSource, with
+// no clone per goroutine, from 8 goroutines, each in its own window
+// order (half of them reversed), and checks every read against the
+// serial codes; under -race this is the proof that WindowCodes is safe
+// for concurrent use, as phase 1 requires.
 func TestTensorSourceConcurrentClones(t *testing.T) {
 	x := tensor.New(2, 8, 8)
 	for i := range x.Data() {
@@ -236,19 +235,21 @@ func TestTensorSourceConcurrentClones(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
-	for g := 0; g < len(errs); g++ {
+	for g := range errs {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			clone := src.CloneSource()
 			got := make([]uint32, rows)
 			for rep := 0; rep < 3; rep++ {
 				for w := 0; w < windows; w++ {
-					wi := (w*7 + g) % windows // clone-specific order
-					clone.WindowCodes(wi, got)
+					wi := (w*7 + g) % windows // 7 is coprime with the 36 windows
+					if g%2 == 1 {
+						wi = windows - 1 - wi
+					}
+					src.WindowCodes(wi, got)
 					for i := range got {
 						if got[i] != want[wi*rows+i] {
-							errs[g] = fmt.Errorf("clone %d window %d row %d: %d != %d",
+							errs[g] = fmt.Errorf("goroutine %d window %d row %d: %d != %d",
 								g, wi, i, got[i], want[wi*rows+i])
 							return
 						}
@@ -261,6 +262,60 @@ func TestTensorSourceConcurrentClones(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestBatchMixedInputsMatchSingleRuns runs one phase-1 dispatch over
+// inputs of both kinds: the batch [own, a distinct source with the same
+// codes, own] on a layer with Codes reads cached mask planes for inputs
+// 0 and 2 and the source for input 1. At MaxWindows 0 the 27 flattened
+// windows split into chunks of 4 and 2 at workers 1 and 2, so a chunk
+// spans a cached-mask input and a source-read input. Every input's
+// result must equal the single run's, and a metered batch must record
+// the occupancy of three single runs in a DOF mode and of one in a
+// static mode, which is simulated once per batch.
+func TestBatchMixedInputsMatchSingleRuns(t *testing.T) {
+	layer := goldenLayer(t)
+	layer.Codes = NewCodePlanes()
+	copied := &sliceSource{rows: layer.Acts.(*sliceSource).rows}
+	batch := []BatchInput{{}, {Sources: []ActivationSource{copied}}, {}}
+	ctx := context.Background()
+	for _, mode := range []Mode{ModeDOF, ModeORCDOF, ModeORC} {
+		reps := 1
+		if mode.DOF {
+			reps = len(batch)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, maxWin := range []int{0, 4} {
+				tag := fmt.Sprintf("%v workers=%d maxWin=%d", mode, workers, maxWin)
+				cfg := DefaultConfig()
+				cfg.Mode = mode
+				cfg.MaxWindows = maxWin
+				cfg.Workers = workers
+				want := runLayer(t, layer, cfg)
+				cfg.Metrics = metrics.NewRegistry()
+				for r := 0; r < reps; r++ {
+					runLayer(t, layer, cfg)
+				}
+				wantOcc := cfg.Metrics.Snapshot().Histograms[occName(mode)]
+				reg := metrics.NewRegistry()
+				for _, m := range []*metrics.Registry{nil, reg} {
+					cfg.Metrics = m
+					out, err := SimulateNetworkBatchContext(ctx, []Layer{layer}, cfg, batch)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					for j := range out {
+						if got := out[j].Layers[0]; got != want {
+							t.Fatalf("%s metered=%v: input %d %+v != single run %+v", tag, m != nil, j, got, want)
+						}
+					}
+				}
+				if got := reg.Snapshot().Histograms[occName(mode)]; got.Count == 0 || fmt.Sprint(got) != fmt.Sprint(wantOcc) {
+					t.Fatalf("%s: batch occupancy %+v, want %+v", tag, got, wantOcc)
+				}
+			}
 		}
 	}
 }

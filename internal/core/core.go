@@ -118,7 +118,7 @@ type Config struct {
 	Workers int
 	// Pool, when non-nil, is the shared worker pool to draw from
 	// (overrides Workers); sweeps use it to bound total concurrency
-	// across concurrent SimulateNetwork calls.
+	// across concurrent SimulateNetworkContext calls.
 	Pool *parallel.Pool
 	// Progress, when non-nil, is called after each layer completes
 	// during a network simulation, with the first batch input's result.
@@ -282,25 +282,9 @@ type ActivationSource interface {
 	// Windows returns how many sliding windows the layer processes.
 	Windows() int
 	// WindowCodes fills dst (length = layer rows) with window w's
-	// quantized activation codes.
+	// quantized activation codes. It must be safe for concurrent use:
+	// phase 1 reads distinct windows from several workers at once.
 	WindowCodes(w int, dst []uint32)
-}
-
-// SourceCloner is implemented by ActivationSources that can hand each
-// parallel worker an independent view of the same activations (sharing
-// read-only data, duplicating scratch state). Sources that do not
-// implement it are read by a single worker at a time.
-type SourceCloner interface {
-	CloneSource() ActivationSource
-}
-
-// cloneSource returns a worker-private view of src, or src itself when
-// it does not support cloning.
-func cloneSource(src ActivationSource) ActivationSource {
-	if c, ok := src.(SourceCloner); ok {
-		return c.CloneSource()
-	}
-	return src
 }
 
 // TensorSource adapts a real traced activation tensor (CHW) to an
@@ -311,7 +295,6 @@ type TensorSource struct {
 	ABits          int
 	scale          float64
 	wout, hout     int
-	buf            []float32
 }
 
 // NewTensorSource builds a source for a conv layer's traced input. For
@@ -322,19 +305,8 @@ func NewTensorSource(x *tensor.Tensor, k, stride, pad, abits int) *TensorSource 
 	if k > 0 {
 		ts.hout = tensor.ConvOutputDim(x.Dim(1), k, stride, pad)
 		ts.wout = tensor.ConvOutputDim(x.Dim(2), k, stride, pad)
-		ts.buf = make([]float32, x.Dim(0)*k*k)
 	}
 	return ts
-}
-
-// CloneSource implements SourceCloner: the clone shares the (read-only)
-// tensor but owns its im2col scratch buffer.
-func (ts *TensorSource) CloneSource() ActivationSource {
-	c := *ts
-	if ts.buf != nil {
-		c.buf = make([]float32, len(ts.buf))
-	}
-	return &c
 }
 
 func (ts *TensorSource) Windows() int {
@@ -344,14 +316,12 @@ func (ts *TensorSource) Windows() int {
 	return ts.hout * ts.wout
 }
 
+// WindowCodes gathers each window into its own im2col buffer, so
+// concurrent calls share only the read-only tensor.
 func (ts *TensorSource) WindowCodes(w int, dst []uint32) {
-	var vals []float32
-	if ts.K == 0 {
-		vals = ts.X.Data()
-	} else {
-		oy, ox := w/ts.wout, w%ts.wout
-		tensor.Im2ColWindow(ts.X, ts.K, ts.Stride, ts.Pad, oy, ox, ts.buf)
-		vals = ts.buf
+	vals := ts.X.Data()
+	if ts.K > 0 {
+		vals = tensor.Im2ColWindow(ts.X, ts.K, ts.Stride, ts.Pad, w/ts.wout, w%ts.wout, nil)
 	}
 	if len(dst) != len(vals) {
 		panic(fmt.Sprintf("core: window codes length %d, layer rows %d", len(vals), len(dst)))
@@ -372,7 +342,7 @@ type Layer struct {
 	OCC    *compress.OCCStructure
 	Acts   ActivationSource
 	// Codes, when non-nil, caches the layer's sampled window codes so
-	// RunAll's modes (and repeated SimulateLayer calls) share one
+	// RunAll's modes (and repeated SimulateLayerContext calls) share one
 	// materialization instead of re-reading Acts per mode
 	// (workload.Build attaches one to every layer).
 	Codes *CodePlanes
@@ -414,20 +384,6 @@ func (r NetworkResult) TotalOUEvents() int64 {
 		n += l.OUEvents
 	}
 	return n
-}
-
-// SimulateNetwork runs every layer and sums latency (layers execute
-// sequentially on the modelled hardware) and energy. It is the
-// non-cancellable form of SimulateNetworkContext and panics on the
-// configuration errors that form reports (invalid quantization,
-// geometry mismatch, OCC misuse); long-running servers should call
-// SimulateNetworkContext and handle the error.
-func SimulateNetwork(layers []Layer, cfg Config) NetworkResult {
-	out, err := SimulateNetworkContext(context.Background(), layers, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }
 
 // SimulateNetworkContext runs every layer, overlapping independent
@@ -550,16 +506,6 @@ func reduceNetwork(layers []Layer, results []LayerResult) NetworkResult {
 		i = j
 	}
 	return out
-}
-
-// SimulateLayer runs one layer under cfg. It panics on the
-// configuration errors SimulateLayerContext reports.
-func SimulateLayer(l Layer, cfg Config) LayerResult {
-	lr, err := SimulateLayerContext(context.Background(), l, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return lr
 }
 
 // SimulateLayerContext runs one layer under cfg, sharding its window
@@ -699,8 +645,8 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		// Resolve the derived slice-mask plane (maskplane.go): when the
 		// code plane is cached, the per-window BuildSliceMasks sweep and
 		// its popcounts are shared across DOF modes and repeated runs
-		// the same way. nil (size bound, no code plane) falls back to
-		// per-window mask building.
+		// the same way. Without one (size bound, no code plane) phase 1
+		// builds each window's masks in its scratch.
 		var mp *maskPlane
 		if plane != nil {
 			mp = l.Codes.maskPlane(plane, lay, sampled, cfg.Quant.DACBits, spi, maskCacheMetrics{
@@ -714,37 +660,19 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 		// source; substituted sources are read per window.
 		n = len(sources)
 		inputs := make([]p1Input, n)
-		cached, clonable := true, true
 		for j, src := range sources {
 			inputs[j] = p1Input{plane: plane, mp: mp, acts: l.Acts}
 			if src != nil && src != l.Acts {
 				inputs[j] = p1Input{acts: src}
 			}
-			if inputs[j].plane == nil {
-				cached = false
-				if _, ok := inputs[j].acts.(SourceCloner); !ok {
-					clonable = false
-				}
-			}
 		}
+		// Dynamic chunked sharding absorbs the skew of
+		// activation-dependent window costs. Result slots stay disjoint,
+		// so bit-identity is unaffected.
 		total := n * sampled
 		work = ls.workSlots(total * nTiles)
-		phase1 := kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh)
-		switch {
-		case cached:
-			// Cached codes need no source reads, so the window loop can
-			// rebalance freely: dynamic chunked sharding absorbs the skew
-			// of activation-dependent window costs. Result slots stay
-			// disjoint, so bit-identity is unaffected.
-			err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()), phase1)
-		case clonable:
-			err = pool.For(ctx, total, phase1)
-		default:
-			// A source that cannot give workers private views is read
-			// from a single shard (tiles still parallelize below).
-			var serial *parallel.Pool
-			err = serial.For(ctx, total, phase1)
-		}
+		err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()),
+			kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh))
 		if err != nil {
 			return nil, err
 		}
@@ -921,9 +849,8 @@ func phase3Reduce(l Layer, cfg Config, accs []tileAcc, windows, sampled int, msh
 	return res
 }
 
-// p1Input is one activation input's phase-1 view. Exactly one of the
-// derivation tiers is used per window: the cached slice-mask plane
-// (mp), the cached code plane (plane), or a per-worker clone of the
+// p1Input is one activation input's phase-1 view: its cached
+// slice-mask plane (mp), else its cached code plane (plane), else its
 // source (acts). A run passes one per input.
 type p1Input struct {
 	plane []uint32
@@ -931,21 +858,21 @@ type p1Input struct {
 	acts  ActivationSource
 }
 
-// kernelPhase1 returns the word-plane phase-1 shard body over the
+// kernelPhase1 returns the word-plane phase-1 chunk body over the
 // flattened (input, window) index space (idx = input·sampled+window;
-// a single run passes one input, so idx is the window index). For each
-// window it derives all activation bit-slice masks in one sweep
-// (bitset.BuildSliceMasks) — or reads them straight from the input's
-// cached mask plane — then makes one fused bitset.TileOUs call per
-// (window, tile), which sums the OUs and driven wordlines over all
-// slices and column groups at once. A metered run (msh non-nil) also
-// has that call tally the fill classes of the partial OUs, and records
-// the chunk's occupancy histogram from the tally once per chunk.
-// Baseline-scheme plans are virtualized (every group drives the slice's
-// rows), so that scheme takes per-slice arithmetic instead. Scratch
-// comes from the phase-1 arena (checked out per shard or dynamic
-// chunk) and every result lands in a disjoint work slot, so the phase
-// stays bit-identical at any worker count.
+// a single run passes one input, so idx is the window index). Each
+// window's activation bit-slice masks come from a mask plane: the
+// input's cached one, or the chunk's one-window scratch plane, built
+// from the cached codes or a source read (maskPlane.build). Phase 1
+// then makes one fused bitset.TileOUs call per (window, tile), which
+// sums the OUs and driven wordlines over all slices and column groups
+// at once. A metered run (msh non-nil) also has that call tally the
+// fill classes of the partial OUs, and records the chunk's occupancy
+// histogram from the tally once per chunk. Baseline-scheme plans are
+// virtualized (every group drives the slice's rows), so that scheme
+// takes per-slice arithmetic instead. Scratch comes from the phase-1
+// arena (checked out per chunk) and every result lands in a disjoint
+// work slot, so the phase stays bit-identical at any worker count.
 func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 	work []batchWork, sampled, windows int, inputs []p1Input, msh *metrics.Shard) func(start, end int) {
 	lay := l.Struct.Layout
@@ -973,14 +900,6 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 			part = &tally.part
 			defer tally.flush(occ, g.SWL)
 		}
-		// Source clones are established lazily per input as the shard
-		// crosses input boundaries (at most once per boundary per chunk).
-		var acts ActivationSource
-		actsInput := -1
-		codes := scr.codes
-		masks := scr.masks
-		nonEmpty := scr.nonEmpty
-		sliceNZ := scr.sliceNZ
 		ouTab := scr.ouTab
 		for idx := start; idx < end; idx++ {
 			if ctx.Err() != nil {
@@ -988,61 +907,30 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 			}
 			ji, wi := idx/sampled, idx%sampled
 			in := &inputs[ji]
-			mp := in.mp
+			mp, slot := in.mp, wi
 			if mp == nil {
-				// No cached masks: derive them from the codes (cached
-				// plane or source read) into this worker's scratch.
+				codes := scr.codes
 				if in.plane != nil {
 					codes = in.plane[wi*lay.Rows : (wi+1)*lay.Rows]
 				} else {
-					if actsInput != ji {
-						acts, actsInput = cloneSource(in.acts), ji
-					}
-					codes = scr.codes
-					acts.WindowCodes(wi*windows/sampled, codes)
+					in.acts.WindowCodes(wi*windows/sampled, codes)
 				}
-				for rb := 0; rb < lay.RowBlocks; rb++ {
-					lo := rb * g.XbarRows
-					hi := lo + lay.TileRows(rb)
-					nonEmpty[rb] = bitset.BuildSliceMasks(codes[lo:hi], cfg.Quant.DACBits, masks[rb])
-					if baseline {
-						for s := 0; s < spi; s++ {
-							nz := 0
-							if nonEmpty[rb]&(1<<uint(s)) != 0 {
-								nz = bitset.CountWords(masks[rb][s])
-							}
-							sliceNZ[rb*spi+s] = nz
-						}
-					}
-				}
+				mp, slot = scr.mp, 0
+				mp.build(slot, codes, lay, cfg.Quant.DACBits, scr.heads)
 			}
 			for rb := range plans {
-				// The row block's slice masks: slice s at s·maxWords, the
-				// layout of both the scratch and the cached plane. ne, its
-				// non-empty bitmap, names every slice: quant.Validate
+				// The row block's slice masks, slice s at s·maxWords. ne,
+				// its non-empty bitmap, names every slice: quant.Validate
 				// bounds spi at 32.
-				ne, block := nonEmpty[rb], scr.backing[rb*spi*maxWords:(rb+1)*spi*maxWords]
-				mbase := 0
-				if mp != nil {
-					mbase = (wi*lay.RowBlocks + rb) * spi
-					ne = mp.nonEmpty[wi*lay.RowBlocks+rb]
-					block = mp.words[mbase*maxWords : (mbase+spi)*maxWords]
-				}
+				mbase := (slot*lay.RowBlocks + rb) * spi
+				ne := mp.nonEmpty[slot*lay.RowBlocks+rb]
+				block := mp.words[mbase*maxWords : (mbase+spi)*maxWords]
 				for cb := range plans[rb] {
 					tp := &plans[rb][cb]
 					var ous, wl int64
 					if baseline {
 						for sl := ne; sl != 0; sl &= sl - 1 {
-							s := bits.TrailingZeros64(sl)
-							nz := 0
-							if mp != nil {
-								nz = int(mp.sliceNZ[mbase+s])
-							} else {
-								nz = sliceNZ[rb*spi+s]
-							}
-							if nz == 0 {
-								continue
-							}
+							nz := int(mp.sliceNZ[mbase+bits.TrailingZeros64(sl)])
 							n := int64(tp.plans.Groups)
 							ous += int64(ouTab[nz]) * n
 							wl += int64(nz) * n

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sre/internal/compress"
@@ -18,6 +19,16 @@ type sliceSource struct{ rows [][]uint32 }
 func (s *sliceSource) Windows() int { return len(s.rows) }
 func (s *sliceSource) WindowCodes(w int, dst []uint32) {
 	copy(dst, s.rows[w])
+}
+
+// runLayer runs SimulateLayerContext and fails tb on its error.
+func runLayer(tb testing.TB, l Layer, cfg Config) LayerResult {
+	tb.Helper()
+	lr, err := SimulateLayerContext(context.Background(), l, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return lr
 }
 
 // smallCase builds a random single-tile layer: weight tensor, its
@@ -74,7 +85,7 @@ func TestOUEventsMatchFunctionalModel(t *testing.T) {
 		for _, mode := range []Mode{ModeBaseline, ModeORC, ModeDOF, ModeORCDOF} {
 			cfg := Config{Geometry: g, Quant: p, Mode: mode, IndexBits: 0,
 				MaxWindows: 0, Energy: energy.Default()}
-			lr := SimulateLayer(Layer{Name: "t", Struct: st, Acts: acts}, cfg)
+			lr := runLayer(t, Layer{Name: "t", Struct: st, Acts: acts}, cfg)
 
 			sched := orcSchedule(st, mode.Scheme, 0)
 			fres := crossbar.Execute(arr, inputs, p, g.SWL, sched, mode.DOF)
@@ -129,7 +140,7 @@ func TestModeOrdering(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
 		cfg.MaxWindows = 0
-		results[mode.String()] = SimulateLayer(layer, cfg)
+		results[mode.String()] = runLayer(t, layer, cfg)
 	}
 	b := results["baseline"]
 	if b.Cycles <= 0 || b.Energy.Total() <= 0 {
@@ -173,8 +184,8 @@ func TestDeterminism(t *testing.T) {
 	acts := &sliceSource{rows: [][]uint32{inputs}}
 	cfg := DefaultConfig()
 	cfg.Mode = ModeORCDOF
-	a := SimulateLayer(Layer{Name: "d", Struct: st, Acts: acts}, cfg)
-	b := SimulateLayer(Layer{Name: "d", Struct: st, Acts: acts}, cfg)
+	a := runLayer(t, Layer{Name: "d", Struct: st, Acts: acts}, cfg)
+	b := runLayer(t, Layer{Name: "d", Struct: st, Acts: acts}, cfg)
 	if a.Cycles != b.Cycles || a.Energy != b.Energy {
 		t.Fatal("simulation is not deterministic")
 	}
@@ -200,9 +211,9 @@ func TestSamplingApproximatesFullRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = ModeORCDOF
 	cfg.MaxWindows = 0
-	full := SimulateLayer(layer, cfg)
+	full := runLayer(t, layer, cfg)
 	cfg.MaxWindows = 10
-	sampledRes := SimulateLayer(layer, cfg)
+	sampledRes := runLayer(t, layer, cfg)
 	if sampledRes.Sampled != 10 || full.Sampled != 40 {
 		t.Fatalf("sampling bookkeeping wrong: %d/%d", sampledRes.Sampled, full.Sampled)
 	}
@@ -222,7 +233,10 @@ func TestNetworkAggregation(t *testing.T) {
 		{Name: "l2", Struct: st2, Acts: &sliceSource{rows: [][]uint32{in2}}},
 	}
 	cfg := DefaultConfig()
-	res := SimulateNetwork(layers, cfg)
+	res, err := SimulateNetworkContext(context.Background(), layers, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Layers) != 2 {
 		t.Fatal("layer count")
 	}
@@ -290,7 +304,7 @@ func TestPipelineOverheadSmall(t *testing.T) {
 	acts := &sliceSource{rows: [][]uint32{inputs}}
 	cfg := DefaultConfig()
 	cfg.MaxWindows = 0
-	lr := SimulateLayer(Layer{Name: "p", Struct: st, Acts: acts}, cfg)
+	lr := runLayer(t, Layer{Name: "p", Struct: st, Acts: acts}, cfg)
 	if lr.Cycles < lr.OUEvents || lr.Cycles > lr.OUEvents+8 {
 		t.Fatalf("pipelined cycles %d vs OU events %d", lr.Cycles, lr.OUEvents)
 	}
@@ -321,7 +335,7 @@ func BenchmarkSimulateLayerModes(b *testing.B) {
 			cfg.Mode = mode
 			cfg.MaxWindows = 0
 			for i := 0; i < b.N; i++ {
-				SimulateLayer(layer, cfg)
+				runLayer(b, layer, cfg)
 			}
 		})
 	}

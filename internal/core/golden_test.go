@@ -12,15 +12,6 @@ import (
 	"sre/internal/xrand"
 )
 
-// cloneableSource is a sliceSource whose workers get private views, so
-// the golden test exercises the parallel phase-1 shards too.
-type cloneableSource struct{ sliceSource }
-
-func (c *cloneableSource) CloneSource() ActivationSource {
-	d := *c
-	return &d
-}
-
 // goldenLayer builds a multi-tile layer: 200 rows → two row blocks
 // (128 + a non-word-aligned 72), 20 logical columns → 160 physical →
 // two column blocks, sparse weights and activations, several windows.
@@ -35,7 +26,7 @@ func goldenLayer(t *testing.T) Layer {
 func buildGoldenLayer(name string, rows, cols int, g mapping.Geometry, wSeed, aSeed uint64) Layer {
 	st, _, _ := smallCase(wSeed, rows, cols, quant.Default(), g, 0.65, 0)
 	r := xrand.New(aSeed)
-	src := &cloneableSource{}
+	src := &sliceSource{}
 	for w := 0; w < 9; w++ {
 		v := make([]uint32, rows)
 		for i := range v {

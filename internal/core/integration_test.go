@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sre/internal/compress"
@@ -75,10 +76,14 @@ func TestRealNetworkEndToEnd(t *testing.T) {
 	}
 
 	run := func(m Mode) NetworkResult {
-		return SimulateNetwork(layers, Config{
+		res, err := SimulateNetworkContext(context.Background(), layers, Config{
 			Geometry: g, Quant: p, Mode: m, IndexBits: 5, MaxWindows: 0,
 			Energy: energy.Default(),
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
 	base := run(ModeBaseline)
 	orc := run(ModeORC)

@@ -10,10 +10,11 @@
 // non-empty-slice bitmaps, and per-slice popcounts, built once under
 // sync.Once from the code plane and read lock-free ever after.
 //
-// The cached masks are exactly the words BuildSliceMasks would have
-// produced per window, so phase-1 results are bit-identical with the
-// cache on or off (golden tests enforce this through the existing
-// cached-vs-uncached comparisons).
+// A window without a cached plane builds its masks into a one-window
+// plane in phase 1's scratch with the same maskPlane.build, so
+// phase-1 results are bit-identical with the cache or without it
+// (golden tests enforce this through the cached-vs-uncached
+// comparisons).
 package core
 
 import (
@@ -25,8 +26,8 @@ import (
 )
 
 // maxCachedMaskWords bounds one mask plane's size (uint64 words;
-// 64 MiB). Past the bound phase 1 falls back to building masks per
-// window, which those runs paid before the cache existed.
+// 64 MiB). Past the bound phase 1 builds each window's masks as it
+// reads the window, which those runs paid before the cache existed.
 const maxCachedMaskWords = 8 << 20
 
 // maskKey identifies one derived mask plane. The layout is fixed per
@@ -43,19 +44,57 @@ type maskPlaneEntry struct {
 	mp   *maskPlane
 }
 
-// maskPlane is one built entry: a window-major structure-of-arrays
-// flattening of every sampled window's slice masks. The mask words of
-// (window wi, row block rb, slice s) start at index
-// ((wi·rowBlocks+rb)·spi+s)·maxWords, with maxWords =
-// Words64(XbarRows): padded to the full-tile word count so offsets are
-// uniform, and laid out exactly like a phase-1 scratch's row-block mask
-// block, so phase 1 reads either in place. nonEmpty and sliceNZ are
-// indexed by the same (wi·rowBlocks+rb) and ((wi·rowBlocks+rb)·spi+s)
-// keys.
+// maskPlane is a window-major structure-of-arrays flattening of
+// slice masks: a cache entry holds every sampled window's, a phase-1
+// scratch one window's. The mask words of (window slot wi, row block
+// rb, slice s) start at index ((wi·rowBlocks+rb)·spi+s)·maxWords, with
+// maxWords = Words64(XbarRows): padded to the full-tile word count so
+// offsets are uniform, which lets bitset.TileOUs take a row block's
+// slices as one strided block. nonEmpty and sliceNZ are indexed by the
+// same (wi·rowBlocks+rb) and ((wi·rowBlocks+rb)·spi+s) keys.
 type maskPlane struct {
 	words    []uint64
 	nonEmpty []uint64
 	sliceNZ  []int32
+}
+
+// newMaskPlane allocates a zeroed plane of the given window slots.
+func newMaskPlane(slots int, lay mapping.Layout, spi int) *maskPlane {
+	n := slots * lay.RowBlocks
+	return &maskPlane{
+		words:    make([]uint64, n*spi*bitset.Words64(lay.XbarRows)),
+		nonEmpty: make([]uint64, n),
+		sliceNZ:  make([]int32, n*spi),
+	}
+}
+
+// build fills window slot's masks, non-empty bitmaps and per-slice
+// popcounts from the window's lay.Rows codes in one BuildSliceMasks
+// sweep per row block; heads is len-spi header scratch. Every field of
+// the slot is overwritten, so a recycled plane needs no clearing: the
+// padding words past a short row block's tail are never written and
+// stay zero.
+func (mp *maskPlane) build(slot int, codes []uint32, lay mapping.Layout, dacBits int, heads [][]uint64) {
+	maxWords := bitset.Words64(lay.XbarRows)
+	for rb := 0; rb < lay.RowBlocks; rb++ {
+		lo := rb * lay.XbarRows
+		hi := lo + lay.TileRows(rb)
+		w := bitset.Words64(hi - lo)
+		base := (slot*lay.RowBlocks + rb) * len(heads)
+		for s := range heads {
+			off := (base + s) * maxWords
+			heads[s] = mp.words[off : off+w : off+w]
+		}
+		ne := bitset.BuildSliceMasks(codes[lo:hi], dacBits, heads)
+		mp.nonEmpty[slot*lay.RowBlocks+rb] = ne
+		for s := range heads {
+			nz := 0
+			if ne&(1<<uint(s)) != 0 {
+				nz = bitset.CountWords(heads[s])
+			}
+			mp.sliceNZ[base+s] = int32(nz)
+		}
+	}
 }
 
 // maskCacheMetrics carries the mask-cache observability counters
@@ -69,7 +108,7 @@ type maskCacheMetrics struct {
 // maskPlane returns the cached slice-mask plane derived from the
 // layer's code plane (which must hold sampled·lay.Rows codes), building
 // it on first use. Returns nil when the plane would exceed the size
-// bound — phase 1 then builds masks per window as before.
+// bound; phase 1 then builds each window's masks in its scratch.
 func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacBits, spi int, m maskCacheMetrics) *maskPlane {
 	maxWords := bitset.Words64(lay.XbarRows)
 	total := sampled * lay.RowBlocks * spi * maxWords
@@ -92,31 +131,10 @@ func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacB
 	c.mu.Unlock()
 	e.once.Do(func() {
 		m.builds.Inc()
-		mp := &maskPlane{
-			words:    make([]uint64, total),
-			nonEmpty: make([]uint64, sampled*lay.RowBlocks),
-			sliceNZ:  make([]int32, sampled*lay.RowBlocks*spi),
-		}
+		mp := newMaskPlane(sampled, lay, spi)
 		heads := make([][]uint64, spi)
 		for wi := 0; wi < sampled; wi++ {
-			codes := plane[wi*lay.Rows : (wi+1)*lay.Rows]
-			for rb := 0; rb < lay.RowBlocks; rb++ {
-				lo := rb * lay.XbarRows
-				hi := lo + lay.TileRows(rb)
-				w := bitset.Words64(hi - lo)
-				base := (wi*lay.RowBlocks + rb) * spi
-				for s := 0; s < spi; s++ {
-					off := (base + s) * maxWords
-					heads[s] = mp.words[off : off+w : off+w]
-				}
-				ne := bitset.BuildSliceMasks(codes[lo:hi], dacBits, heads)
-				mp.nonEmpty[wi*lay.RowBlocks+rb] = ne
-				for s := 0; s < spi; s++ {
-					if ne&(1<<uint(s)) != 0 {
-						mp.sliceNZ[base+s] = int32(bitset.CountWords(heads[s]))
-					}
-				}
-			}
+			mp.build(wi, plane[wi*lay.Rows:(wi+1)*lay.Rows], lay, dacBits, heads)
 		}
 		e.mp = mp
 		size := int64(len(mp.words))*8 + int64(len(mp.nonEmpty))*8 + int64(len(mp.sliceNZ))*4

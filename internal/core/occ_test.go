@@ -44,9 +44,9 @@ func TestOCCModeSpeedsUpColumnStructure(t *testing.T) {
 	l := buildOCCCase(t, 1)
 	cfg := DefaultConfig()
 	cfg.MaxWindows = 0
-	base := SimulateLayer(l, cfg)
+	base := runLayer(t, l, cfg)
 	cfg.Mode = ModeOCC
-	occ := SimulateLayer(l, cfg)
+	occ := runLayer(t, l, cfg)
 	if occ.Cycles >= base.Cycles {
 		t.Fatalf("OCC %d cycles vs baseline %d on column-sparse weights", occ.Cycles, base.Cycles)
 	}
@@ -66,13 +66,6 @@ func TestOCCPlusDOFErrors(t *testing.T) {
 	if _, err := SimulateLayerContext(context.Background(), l, cfg); err == nil {
 		t.Fatal("expected the Fig. 10 hazard to be rejected with an error")
 	}
-	// The non-context wrapper turns the same error into a panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SimulateLayer must panic on the Fig. 10 hazard")
-		}
-	}()
-	SimulateLayer(l, cfg)
 }
 
 func TestOCCWithoutStructureErrors(t *testing.T) {
@@ -96,7 +89,7 @@ func TestOCCCycleFormula(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxWindows = 0
 	cfg.Mode = ModeOCC
-	res := SimulateLayer(l, cfg)
+	res := runLayer(t, l, cfg)
 	spi := cfg.Quant.SlicesPerInput()
 	want := int64(l.OCC.OUsPerTileSlice(0, 0)) * int64(spi)
 	if res.OUEvents != want {
@@ -111,17 +104,17 @@ func TestBufferStalls(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxWindows = 0
 
-	ideal := SimulateLayer(l, cfg)
+	ideal := runLayer(t, l, cfg)
 
 	cfg.Buffer = buffer.Default()
-	paper := SimulateLayer(l, cfg)
+	paper := runLayer(t, l, cfg)
 	if paper.Cycles != ideal.Cycles {
 		t.Fatalf("paper's buffer (%d cycles) must match the ideal fetch (%d)",
 			paper.Cycles, ideal.Cycles)
 	}
 
 	cfg.Buffer = buffer.Config{CapacityBytes: 1024, Banks: 1, BusBits: 32, Clock: 1.2e9}
-	starved := SimulateLayer(l, cfg)
+	starved := runLayer(t, l, cfg)
 	if starved.Cycles <= ideal.Cycles {
 		t.Fatalf("starved buffer did not slow the layer: %d vs %d", starved.Cycles, ideal.Cycles)
 	}

@@ -89,7 +89,7 @@ func TestInvalidModeCombosRejected(t *testing.T) {
 // and the batch input rather than simulating a different shape.
 func TestBatchWindowMismatchErrors(t *testing.T) {
 	layer := goldenLayer(t)
-	short := &sliceSource{rows: layer.Acts.(*cloneableSource).rows[:4]}
+	short := &sliceSource{rows: layer.Acts.(*sliceSource).rows[:4]}
 	batch := []BatchInput{{}, {Sources: []ActivationSource{short}}}
 	for _, mode := range []Mode{ModeORC, ModeORCDOF} {
 		cfg := DefaultConfig()

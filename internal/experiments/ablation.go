@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"sre/internal/buffer"
@@ -98,17 +99,18 @@ func AblationOCC(opt Options) (*Table, error) {
 			inBits += layers[i].Struct.IndexStorageBits(compress.ORC, spec.IndexBits)
 			outBits += occs[i].OutputIndexBits()
 		}
-		sim := func(m core.Mode) core.NetworkResult {
-			return core.SimulateNetwork(layers, core.Config{
+		res := make([]core.NetworkResult, 4)
+		for i, m := range []core.Mode{core.ModeBaseline, core.ModeORC, core.ModeOCC, core.ModeORCDOF} {
+			res[i], err = core.SimulateNetworkContext(context.Background(), layers, core.Config{
 				Geometry: g, Quant: p, Mode: m, IndexBits: spec.IndexBits,
-				MaxWindows: opt.maxWindows(), Workers: opt.Workers,
+				MaxWindows: opt.MaxWindows, Workers: opt.Workers,
 				Energy: energy.Default(),
 			})
+			if err != nil {
+				return nil, err
+			}
 		}
-		base := sim(core.ModeBaseline)
-		orc := sim(core.ModeORC)
-		occ := sim(core.ModeOCC)
-		both := sim(core.ModeORCDOF)
+		base, orc, occ, both := res[0], res[1], res[2], res[3]
 		bc := float64(base.Cycles)
 		t.AddRow(spec.Name,
 			f2(float64(total)/float64(maxI64(orcCells, 1))),
@@ -156,9 +158,12 @@ func AblationBuffer(opt Options) (*Table, error) {
 		var baseCycles int64
 		for i, bc := range buffers {
 			cfg := core.Config{Geometry: g, Quant: p, Mode: mode,
-				IndexBits: spec.IndexBits, MaxWindows: opt.maxWindows(),
+				IndexBits: spec.IndexBits, MaxWindows: opt.MaxWindows,
 				Workers: opt.Workers, Energy: energy.Default(), Buffer: bc.cfg}
-			res := core.SimulateNetwork(b.Layers, cfg)
+			res, err := core.SimulateNetworkContext(context.Background(), b.Layers, cfg)
+			if err != nil {
+				return nil, err
+			}
 			if i == 0 {
 				baseCycles = res.Cycles
 			}
@@ -192,8 +197,14 @@ func AblationReplication(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-		sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		base, err := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
+		sre, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
 
 		demands := make([]chip.LayerDemand, len(b.Layers))
 		for i, l := range b.Layers {

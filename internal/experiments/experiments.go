@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -29,7 +30,7 @@ import (
 // Options tune experiment scope.
 type Options struct {
 	Seed       uint64
-	MaxWindows int  // per-layer window sampling cap (0 → default 48)
+	MaxWindows int  // per-layer window sampling cap (0 = all windows)
 	Quick      bool // trim sweeps for fast CI/bench runs
 	Workers    int  // simulation worker-pool width (0 = GOMAXPROCS)
 	// Metrics, when non-nil, collects run observability across every
@@ -43,13 +44,6 @@ type Options struct {
 
 // DefaultOptions runs every experiment at full scope.
 func DefaultOptions() Options { return Options{Seed: 1, MaxWindows: 48} }
-
-func (o Options) maxWindows() int {
-	if o.MaxWindows <= 0 {
-		return 48
-	}
-	return o.MaxWindows
-}
 
 // Table is a regenerated table/figure.
 type Table struct {
@@ -209,7 +203,7 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	if opt.SnapshotDir != "" {
 		b, _, err = snapshot.LoadOrBuild(opt.SnapshotDir,
 			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed},
-			snapshot.WriteOptions{MaxWindows: opt.maxWindows(), IndexBits: spec.IndexBits})
+			snapshot.WriteOptions{MaxWindows: opt.MaxWindows, IndexBits: spec.IndexBits})
 	} else {
 		b, err = spec.Build(mode, p, g, opt.Seed)
 	}
@@ -229,24 +223,24 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 
 // simulate runs one built network in one mode, sharding the simulation
 // over opt's worker width.
-func simulate(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options) core.NetworkResult {
+func simulate(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options) (core.NetworkResult, error) {
 	return simulateOn(b, mode, p, g, indexBits, opt, nil)
 }
 
 // simulateOn is simulate drawing from a shared pool (nil = own pool).
-func simulateOn(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options, pool *parallel.Pool) core.NetworkResult {
+func simulateOn(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options, pool *parallel.Pool) (core.NetworkResult, error) {
 	cfg := core.Config{
 		Geometry:   g,
 		Quant:      p,
 		Mode:       mode,
 		IndexBits:  indexBits,
-		MaxWindows: opt.maxWindows(),
+		MaxWindows: opt.MaxWindows,
 		Workers:    opt.Workers,
 		Pool:       pool,
 		Energy:     energy.Default(),
 		Metrics:    opt.Metrics,
 	}
-	return core.SimulateNetwork(b.Layers, cfg)
+	return core.SimulateNetworkContext(context.Background(), b.Layers, cfg)
 }
 
 // sslModes are the Fig. 17/18 comparison set, baseline first.
@@ -257,19 +251,23 @@ var sslModes = []core.Mode{
 
 // modeResults runs a built network through the paper's six core modes, overlapping
 // the modes on one shared worker pool.
-func modeResults(b *workload.Built, spec workload.Spec, p quant.Params, g mapping.Geometry, opt Options) map[string]core.NetworkResult {
+func modeResults(b *workload.Built, spec workload.Spec, p quant.Params, g mapping.Geometry, opt Options) (map[string]core.NetworkResult, error) {
 	pool := parallel.New(opt.Workers)
 	res := make([]core.NetworkResult, len(sslModes))
+	errs := make([]error, len(sslModes))
 	pool.For(context.Background(), len(sslModes), func(start, end int) {
 		for i := start; i < end; i++ {
-			res[i] = simulateOn(b, sslModes[i], p, g, spec.IndexBits, opt, pool)
+			res[i], errs[i] = simulateOn(b, sslModes[i], p, g, spec.IndexBits, opt, pool)
 		}
 	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
 	out := make(map[string]core.NetworkResult, len(sslModes))
 	for i, m := range sslModes {
 		out[m.String()] = res[i]
 	}
-	return out
+	return out, nil
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"sre/internal/metrics"
 )
 
 // quick returns fast options for CI-grade runs.
@@ -53,6 +56,26 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 				t.Fatal("Format misses the experiment ID")
 			}
 		})
+	}
+}
+
+// TestMaxWindowsZeroSimulatesAll pins that Options.MaxWindows means
+// what sre.WithMaxWindows means: 0 disables sampling, so every layer of
+// every mode is simulated at all its windows. Sampling never reads more
+// windows than a layer has, so equal per-mode totals mean Sampled ==
+// Windows on every layer.
+func TestMaxWindowsZeroSimulatesAll(t *testing.T) {
+	opt := Options{Seed: 1, MaxWindows: 0, Quick: true, Metrics: metrics.NewRegistry()}
+	if _, err := Run("fig17", opt); err != nil {
+		t.Fatal(err)
+	}
+	snap := opt.Metrics.Snapshot()
+	for _, m := range sslModes {
+		windows := snap.Counters[fmt.Sprintf("sre_core_windows_total{mode=%q}", m)]
+		simulated := snap.Counters[fmt.Sprintf("sre_core_windows_simulated_total{mode=%q}", m)]
+		if windows == 0 || simulated != windows {
+			t.Fatalf("%v: simulated %d of %d windows, want all", m, simulated, windows)
+		}
 	}
 }
 

@@ -25,7 +25,10 @@ func Fig17(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := modeResults(b, spec, p, g, opt)
+		res, err := modeResults(b, spec, p, g, opt)
+		if err != nil {
+			return nil, err
+		}
 		base := float64(res["baseline"].Cycles)
 		row := []string{spec.Name}
 		for _, m := range []string{"naive", "recom", "orc", "dof", "orc+dof"} {
@@ -60,7 +63,10 @@ func Fig18(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := modeResults(b, spec, p, g, opt)
+		res, err := modeResults(b, spec, p, g, opt)
+		if err != nil {
+			return nil, err
+		}
 		base := res["baseline"].Energy.Total()
 		for _, m := range []string{"naive", "recom", "orc", "dof", "orc+dof"} {
 			e := res[m].Energy
@@ -106,8 +112,14 @@ func Fig21(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-			sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			base, err := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+			if err != nil {
+				return nil, err
+			}
+			sre, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			if err != nil {
+				return nil, err
+			}
 			vals = append(vals, pair{base.Energy.Total(), sre.Energy.Total()})
 		}
 		for i, ou := range sizes {
@@ -138,8 +150,14 @@ func Fig22(opt Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-			sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			base, err := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+			if err != nil {
+				return nil, err
+			}
+			sre, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+			if err != nil {
+				return nil, err
+			}
 			s := float64(base.Cycles) / float64(sre.Cycles)
 			perBPC[cb] = append(perBPC[cb], s)
 			t.AddRow(spec.Name, fmt.Sprintf("%d", cb), f2(s))
@@ -177,10 +195,22 @@ func Fig23(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
-		orc := simulate(b, core.ModeORC, p, g, spec.IndexBits, opt)
-		dof := simulate(b, core.ModeDOF, p, g, spec.IndexBits, opt)
-		both := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		base, err := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
+		orc, err := simulate(b, core.ModeORC, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
+		dof, err := simulate(b, core.ModeDOF, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
+		both, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
 		bc, be := float64(base.Cycles), base.Energy.Total()
 		t.AddRow(spec.Name,
 			f2(bc/float64(orc.Cycles)), f2(bc/float64(dof.Cycles)), f2(bc/float64(both.Cycles)),
@@ -207,8 +237,14 @@ func Fig24(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sre := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
-		base := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+		sre, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
+		base, err := simulate(b, core.ModeBaseline, p, g, spec.IndexBits, opt)
+		if err != nil {
+			return nil, err
+		}
 		icfg := isaac.DefaultConfig()
 		icfg.Geometry, icfg.Quant = g, p
 		icfg.Energy = energy.Default()
@@ -257,7 +293,10 @@ func WSSComposability(opt Options) (*Table, error) {
 		}
 		var ref core.NetworkResult
 		for i, m := range modes {
-			res := simulate(b, m, p, g, spec.IndexBits, opt)
+			res, err := simulate(b, m, p, g, spec.IndexBits, opt)
+			if err != nil {
+				return nil, err
+			}
 			if i == 0 {
 				ref = res
 			}

@@ -435,8 +435,9 @@ func (b *Built) ISAACInputs() []isaac.LayerInput {
 // the dominant source of DOF cycle savings; the log-uniform body gives
 // the bit-level input sparsity of Fig. 4(b).
 //
-// Codes are a pure function of (Seed, window) and the fields above;
-// TestWindowCodesDigests pins them for every Table 2 network.
+// Codes are a pure function of (Seed, window) and the fields above, so
+// WindowCodes is safe for concurrent use; TestWindowCodesDigests pins
+// them for every Table 2 network.
 type SyntheticActs struct {
 	Rows        int
 	NWindows    int
@@ -453,11 +454,6 @@ type SyntheticActs struct {
 
 // Windows implements core.ActivationSource.
 func (s *SyntheticActs) Windows() int { return s.NWindows }
-
-// CloneSource implements core.SourceCloner. WindowCodes derives every
-// window from the seed alone (no scratch state), so the source itself
-// is safe to share across workers.
-func (s *SyntheticActs) CloneSource() core.ActivationSource { return s }
 
 // exactTol is the margin by which the fast path of windowCodes must
 // clear each decision before it trusts it, so that its codes equal the

@@ -1,7 +1,7 @@
-// Tiered popcount kernels.
+// Tiered kernels.
 //
-// Every counting path in the package funnels into one of three entry
-// points, each with up to three tiers:
+// The package's DOF hot paths funnel into four entry points, each with
+// up to three tiers:
 //
 //   - popcountWords: linear popcount, behind CountWords and Set.Count;
 //   - CountAndPlanes: popcount(mask ∩ group g) for every group of a
@@ -10,12 +10,14 @@
 //     slice of a tile-window, returning only the two sums
 //     Σ ceil(count/swl) and Σ count and, when asked, a nine-class
 //     tally of the partial OUs' fill (the occupancy histogram's
-//     buckets), so no caller needs per-group counts.
+//     buckets), so no caller needs per-group counts;
+//   - BuildSliceMasks: one window's activation codes split into
+//     per-slice wordline masks, at one-bit DACs a bit transpose.
 //
 // The tiers are:
 //
-//  1. a portable kernel on math/bits.OnesCount64 (always compiled, the
-//     only tier on non-amd64 or `purego` builds),
+//  1. a portable kernel on math/bits (always compiled, the only tier
+//     on non-amd64 or `purego` builds),
 //  2. an AVX2 assembly path (//go:build amd64 && !purego) selected at
 //     runtime by CPUID feature detection, and
 //  3. the original one-word-at-a-time scalar loops, kept in the test
@@ -26,10 +28,13 @@
 // in its hot loop (W == 1 and W == 2 words per group, i.e. crossbar
 // tiles of up to 128 rows; TileOUs also needs a power-of-two swl, so
 // the ceiling is a shift, and swl ≤ 64·W when it tallies fill
-// classes). Everything else takes the portable tier.
+// classes). BuildSliceMasks takes AVX2 at one-bit DACs with 1 to 32
+// slices, one bit of a 32-bit code per slice. Everything else takes
+// the portable tier.
 // All tiers are bit-identical by construction (they compute exact
-// integer counts and sums), and kernel_test.go + fuzz targets enforce
-// agreement on ragged lengths, group tails and degenerate planes.
+// integer counts, sums and bits), and kernel_test.go, plane_test.go
+// and the fuzz targets enforce agreement on ragged lengths, group and
+// block tails and degenerate planes.
 package bitset
 
 import "math/bits"
@@ -39,8 +44,9 @@ import "math/bits"
 // inputs; scalar POPCNTQ already retires one word per cycle).
 const avx2PopcountMin = 16
 
-// Kernel names the counting tier runtime dispatch has selected, for
-// diagnostics and benchmark logs ("avx2" or "generic").
+// Kernel names the tier runtime dispatch has selected for every
+// kernel of the package, for diagnostics and benchmark logs ("avx2" or
+// "generic").
 func Kernel() string {
 	if hasAVX2 {
 		return "avx2"
@@ -168,4 +174,54 @@ func tileOUsGeneric(masks []uint64, stride int, slices uint64, plane []uint64, g
 		wl += int64(sWL)
 	}
 	return ous, wl
+}
+
+// sliceMasksGeneric is the portable BuildSliceMasks tier: it clears
+// the first Words64(len(codes)) words of every mask, then ORs one bit
+// per non-zero digit. One-bit DACs walk only the set bits of each code.
+func sliceMasksGeneric(codes []uint32, dacBits int, masks [][]uint64) uint64 {
+	nw := Words64(len(codes))
+	for s := range masks {
+		ms := masks[s][:nw]
+		for i := range ms {
+			ms[i] = 0
+		}
+	}
+	var nonEmpty uint64
+	if dacBits == 1 {
+		limit := ^uint32(0)
+		if spi := len(masks); spi < 32 {
+			limit = uint32(1)<<uint(spi) - 1
+		}
+		for i, code := range codes {
+			if code == 0 {
+				continue
+			}
+			w, bit := i>>6, uint64(1)<<uint(i&63)
+			for c := code & limit; c != 0; c &= c - 1 {
+				s := bits.TrailingZeros32(c)
+				masks[s][w] |= bit
+				nonEmpty |= 1 << uint(s)
+			}
+		}
+		return nonEmpty
+	}
+	dacMask := uint32(1)<<uint(dacBits) - 1
+	for i, code := range codes {
+		if code == 0 {
+			continue
+		}
+		w, bit := i>>6, uint64(1)<<uint(i&63)
+		for s := range masks {
+			if code>>uint(s*dacBits)&dacMask != 0 {
+				masks[s][w] |= bit
+				if s < 64 {
+					nonEmpty |= 1 << uint(s)
+				} else {
+					nonEmpty = ^uint64(0)
+				}
+			}
+		}
+	}
+	return nonEmpty
 }

@@ -101,6 +101,24 @@ func tileOUs1AVX2(masks *uint64, stride int, slices uint64, plane *uint64, group
 //go:noescape
 func tileOUs2AVX2(masks *uint64, stride int, slices uint64, plane *uint64, groups, shift int, tot *[8]uint32) (ous, wl int64)
 
+// sliceMasks1AVX2 is BuildSliceMasks at dacBits 1 for n ≥ 1 codes and
+// 1 ≤ spi ≤ 32 slices: masks points at spi slice headers, each holding
+// at least Words64(n) words, and word i/64 bit i%64 of slice s gets
+// bit s of codes[i]. It writes exactly the first Words64(n) words of
+// every slice and returns the OR of the codes.
+//
+//go:noescape
+func sliceMasks1AVX2(codes *uint32, n int, masks *[]uint64, spi int) uint32
+
+// sliceMasksAVX2 is the AVX2 tier of BuildSliceMasks at dacBits 1 for
+// 1 ≤ len(masks) ≤ 32 and a non-empty window; the caller has checked
+// every mask's length. Slice s is non-empty iff some code has bit s
+// set.
+func sliceMasksAVX2(codes []uint32, masks [][]uint64) uint64 {
+	or := sliceMasks1AVX2(&codes[0], len(codes), &masks[0], len(masks))
+	return uint64(or & (uint32(1)<<uint(len(masks)) - 1))
+}
+
 // partGroupsAVX2 caps the groups of one fill-tallying assembly call.
 // Each of the four qword lanes counts one group per iteration into byte
 // counters that are summed across the lanes once per slice, so 252

@@ -447,3 +447,200 @@ reduce2:
 	MOVQ    X11, wl+64(FP)
 	VZEROUPPER
 	RET
+
+// Slice-mask kernel: a bit transpose of 32 codes at a time. vpshufb
+// (transposeShuf<>) turns each lane's four codes into four byte
+// planes, the dword p of a lane holding byte p of its codes; the dword
+// and qword unpacks gather plane p (slices 8p..8p+7) of all 32 codes
+// into one register and vpermd (planePerm<>) restores code order. Each
+// vpmovmskb then reads one slice's bit of the 32 codes, from the
+// plane's bit 7 down, and vpaddb doubles every byte to move the next
+// lower bit up to bit 7.
+
+// transposeShuf<> puts byte 4i+p of a lane at byte 4p+i (a 4×4 byte
+// transpose within each 128-bit lane).
+DATA transposeShuf<>+0x00(SB)/8, $0x0d0905010c080400
+DATA transposeShuf<>+0x08(SB)/8, $0x0f0b07030e0a0602
+DATA transposeShuf<>+0x10(SB)/8, $0x0d0905010c080400
+DATA transposeShuf<>+0x18(SB)/8, $0x0f0b07030e0a0602
+GLOBL transposeShuf<>(SB), RODATA|NOPTR, $32
+
+// planePerm<> = [0 4 1 5 2 6 3 7]: the unpacks leave a plane's dwords
+// (four codes each) in the order 0 2 4 6 1 3 5 7.
+DATA planePerm<>+0x00(SB)/8, $0x0000000400000000
+DATA planePerm<>+0x08(SB)/8, $0x0000000500000001
+DATA planePerm<>+0x10(SB)/8, $0x0000000600000002
+DATA planePerm<>+0x18(SB)/8, $0x0000000700000003
+GLOBL planePerm<>(SB), RODATA|NOPTR, $32
+
+// codeIndex<> = [0 1 … 31], compared against the codes left to mask
+// the loads of a short last block.
+DATA codeIndex<>+0x00(SB)/8, $0x0000000100000000
+DATA codeIndex<>+0x08(SB)/8, $0x0000000300000002
+DATA codeIndex<>+0x10(SB)/8, $0x0000000500000004
+DATA codeIndex<>+0x18(SB)/8, $0x0000000700000006
+DATA codeIndex<>+0x20(SB)/8, $0x0000000900000008
+DATA codeIndex<>+0x28(SB)/8, $0x0000000b0000000a
+DATA codeIndex<>+0x30(SB)/8, $0x0000000d0000000c
+DATA codeIndex<>+0x38(SB)/8, $0x0000000f0000000e
+DATA codeIndex<>+0x40(SB)/8, $0x0000001100000010
+DATA codeIndex<>+0x48(SB)/8, $0x0000001300000012
+DATA codeIndex<>+0x50(SB)/8, $0x0000001500000014
+DATA codeIndex<>+0x58(SB)/8, $0x0000001700000016
+DATA codeIndex<>+0x60(SB)/8, $0x0000001900000018
+DATA codeIndex<>+0x68(SB)/8, $0x0000001b0000001a
+DATA codeIndex<>+0x70(SB)/8, $0x0000001d0000001c
+DATA codeIndex<>+0x78(SB)/8, $0x0000001f0000001e
+GLOBL codeIndex<>(SB), RODATA|NOPTR, $128
+
+// SLICE stores one slice of the block: bit 7 of every byte of plane
+// Y6, one bit per code, goes to dword DX of the slice whose header is
+// at off(R10); doubling Y6's bytes then moves the next lower bit up to
+// bit 7.
+#define SLICE(off) \
+	VPMOVMSKB Y6, AX; \
+	MOVQ      off(R10), R9; \
+	MOVL      AX, (R9)(DX*4); \
+	VPADDB    Y6, Y6, Y6
+
+// func sliceMasks1AVX2(codes *uint32, n int, masks *[]uint64, spi int) uint32
+// Register plan: SI the codes, CX the codes left, DX the block index
+// (the dword of every mask it writes), DI the mask headers, BX spi,
+// R11 the planes ceil(spi/8), X12 their spare top bits 8·R11−spi,
+// Y13/Y14 the constants above, Y15 the OR of every code loaded.
+TEXT ·sliceMasks1AVX2(SB), NOSPLIT, $0-36
+	MOVQ codes+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ masks+16(FP), DI
+	MOVQ spi+24(FP), BX
+	LEAQ 7(BX), R11
+	SHRQ $3, R11
+	LEAQ (R11*8), AX
+	SUBQ BX, AX
+	VMOVQ AX, X12
+	VMOVDQU planePerm<>(SB), Y13
+	VMOVDQU transposeShuf<>(SB), Y14
+	VPXOR Y15, Y15, Y15
+	XORQ DX, DX
+
+block:
+	CMPQ    CX, $32
+	JLT     short
+	VMOVDQU (SI), Y0             // codes 0-7 of the block
+	VMOVDQU 32(SI), Y1           // 8-15
+	VMOVDQU 64(SI), Y2           // 16-23
+	VMOVDQU 96(SI), Y3           // 24-31
+
+transpose:
+	VPOR    Y0, Y15, Y15
+	VPOR    Y1, Y15, Y15
+	VPOR    Y2, Y15, Y15
+	VPOR    Y3, Y15, Y15
+	VPSHUFB Y14, Y0, Y0          // lane dword p = byte p of its 4 codes
+	VPSHUFB Y14, Y1, Y1
+	VPSHUFB Y14, Y2, Y2
+	VPSHUFB Y14, Y3, Y3
+	VPUNPCKLDQ  Y1, Y0, Y4       // planes 0, 1 of codes 0-15
+	VPUNPCKLDQ  Y3, Y2, Y5       // planes 0, 1 of codes 16-31
+	VPUNPCKLQDQ Y5, Y4, Y6
+	VPERMD  Y6, Y13, Y6          // plane 0: byte i = bits 0-7 of code i
+	CMPQ    R11, $1
+	JEQ     emit
+	VPUNPCKHQDQ Y5, Y4, Y7
+	VPERMD  Y7, Y13, Y7          // plane 1
+	CMPQ    R11, $2
+	JEQ     emit
+	VPUNPCKHDQ  Y1, Y0, Y4       // planes 2, 3 of codes 0-15
+	VPUNPCKHDQ  Y3, Y2, Y5       // planes 2, 3 of codes 16-31
+	VPUNPCKLQDQ Y5, Y4, Y8
+	VPERMD  Y8, Y13, Y8          // plane 2
+	CMPQ    R11, $3
+	JEQ     emit
+	VPUNPCKHQDQ Y5, Y4, Y9
+	VPERMD  Y9, Y13, Y9          // plane 3
+
+	// The planes bottom up, Y6 the current one: R10 the header of its
+	// slice 8p, R12 the slices not yet stored.
+emit:
+	MOVQ DI, R10
+	MOVQ BX, R12
+
+plane:
+	CMPQ R12, $8
+	JLT  partial
+	SLICE(168)
+	SLICE(144)
+	SLICE(120)
+	SLICE(96)
+	SLICE(72)
+	SLICE(48)
+	SLICE(24)
+	SLICE(0)
+	SUBQ    $8, R12
+	JZ      next
+	ADDQ    $192, R10
+	VMOVDQU Y7, Y6
+	VMOVDQU Y8, Y7
+	VMOVDQU Y9, Y8
+	JMP     plane
+
+	// The partial top plane: drop the code bits ≥ spi, so its top
+	// slice is at bit 7. The shift moves bits across byte boundaries
+	// only into the low 8−R12 bits, which no slice reads.
+partial:
+	VPSLLW X12, Y6, Y6
+	LEAQ   (R12)(R12*2), R8
+	LEAQ   -24(R10)(R8*8), R10   // header of the plane's top slice
+
+slice:
+	SLICE(0)
+	SUBQ $24, R10
+	DECQ R12
+	JNZ  slice
+
+next:
+	ADDQ $128, SI
+	INCQ DX
+	SUBQ $32, CX
+	JGT  block
+
+	// An odd block count leaves the last word's high dword: it holds
+	// no code, so it is zero.
+	TESTQ $1, DX
+	JZ    reduce
+	MOVQ  DI, R8
+	MOVQ  BX, R12
+
+zero:
+	MOVQ (R8), R9
+	MOVL $0, (R9)(DX*4)
+	ADDQ $24, R8
+	DECQ R12
+	JNZ  zero
+
+reduce:
+	VEXTRACTI128 $1, Y15, X0
+	VPOR    X0, X15, X0
+	VPSHUFD $0x4e, X0, X1
+	VPOR    X1, X0, X0
+	VPSHUFD $0xb1, X0, X1
+	VPOR    X1, X0, X0
+	VMOVD   X0, AX
+	MOVL    AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+	// A last block of CX < 32 codes: masked loads read codes i < CX
+	// and zero-pad the block, never touching memory past the codes.
+short:
+	VMOVQ        CX, X4
+	VPBROADCASTD X4, Y4
+	VPCMPGTD     codeIndex<>+0x00(SB), Y4, Y5
+	VPMASKMOVD   (SI), Y5, Y0
+	VPCMPGTD     codeIndex<>+0x20(SB), Y4, Y5
+	VPMASKMOVD   32(SI), Y5, Y1
+	VPCMPGTD     codeIndex<>+0x40(SB), Y4, Y5
+	VPMASKMOVD   64(SI), Y5, Y2
+	VPCMPGTD     codeIndex<>+0x60(SB), Y4, Y5
+	VPMASKMOVD   96(SI), Y5, Y3
+	JMP          transpose

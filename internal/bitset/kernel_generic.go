@@ -21,3 +21,7 @@ func countAndPlanes2(mask, plane []uint64, counts []int) {
 func tileOUsAVX2(masks []uint64, stride int, slices uint64, plane []uint64, groups, w, swl int, part *[9]int64) (ous, wl int64) {
 	panic("bitset: no AVX2 tier in this build")
 }
+
+func sliceMasksAVX2(codes []uint32, masks [][]uint64) uint64 {
+	panic("bitset: no AVX2 tier in this build")
+}

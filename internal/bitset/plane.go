@@ -97,54 +97,24 @@ func TileOUs(masks []uint64, stride int, slices uint64, plane []uint64, groups, 
 // BuildSliceMasks derives every activation bit-slice mask from one
 // window's quantized codes in a single sweep: bit i of masks[s] is set
 // iff codes[i] has a non-zero dacBits-wide digit at slice s. Each
-// masks[s] must hold Words64(len(codes)) words; contents are
-// overwritten. The returned bitmap has bit s set iff slice s ended up
-// non-empty (slices ≥ 64 are conservatively reported non-empty), so
-// callers can skip all-zero high slices without rescanning words.
+// masks[s] must hold at least Words64(len(codes)) words; exactly those
+// words are overwritten and any beyond them are left untouched. The
+// returned bitmap has bit s set iff slice s ended up non-empty (slices
+// ≥ 64 are conservatively reported non-empty), so callers can skip
+// all-zero high slices without rescanning words.
+//
+// Dispatch is shape-aware (kernel.go): one-bit DACs with 1 to 32
+// slices take the AVX2 bit-transpose tier when available; everything
+// else takes the portable tier.
 func BuildSliceMasks(codes []uint32, dacBits int, masks [][]uint64) uint64 {
 	nw := Words64(len(codes))
-	for s := range masks {
-		ms := masks[s][:nw]
-		for i := range ms {
-			ms[i] = 0
+	for _, m := range masks {
+		if len(m) < nw {
+			panic("bitset: BuildSliceMasks mask shorter than Words64(len(codes))")
 		}
 	}
-	var nonEmpty uint64
-	if dacBits == 1 {
-		// One mask bit per code bit: walk only the set bits of each code.
-		limit := ^uint32(0)
-		if spi := len(masks); spi < 32 {
-			limit = uint32(1)<<uint(spi) - 1
-		}
-		for i, code := range codes {
-			if code == 0 {
-				continue
-			}
-			w, bit := i>>6, uint64(1)<<uint(i&63)
-			for c := code & limit; c != 0; c &= c - 1 {
-				s := bits.TrailingZeros32(c)
-				masks[s][w] |= bit
-				nonEmpty |= 1 << uint(s)
-			}
-		}
-		return nonEmpty
+	if hasAVX2 && dacBits == 1 && len(codes) > 0 && len(masks) >= 1 && len(masks) <= 32 {
+		return sliceMasksAVX2(codes, masks)
 	}
-	dacMask := uint32(1)<<uint(dacBits) - 1
-	for i, code := range codes {
-		if code == 0 {
-			continue
-		}
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		for s := range masks {
-			if code>>uint(s*dacBits)&dacMask != 0 {
-				masks[s][w] |= bit
-				if s < 64 {
-					nonEmpty |= 1 << uint(s)
-				} else {
-					nonEmpty = ^uint64(0)
-				}
-			}
-		}
-	}
-	return nonEmpty
+	return sliceMasksGeneric(codes, dacBits, masks)
 }

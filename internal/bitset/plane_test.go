@@ -78,51 +78,140 @@ func scalarSliceMasks(codes []uint32, dacBits, spi, n int) []*Set {
 	return masks
 }
 
+// sliceMaskLengths are the window lengths that cross the AVX2 tier's
+// 32-code blocks and 64-bit words on either side.
+var sliceMaskLengths = []int{1, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200}
+
+// checkSliceMasksTiers compares BuildSliceMasks and every tier that
+// accepts the shape (called directly, bypassing dispatch) with
+// scalarSliceMasks. Each gets spi masks of Words64(len(codes))+pad
+// words pre-filled with ones: the first Words64 words must equal the
+// reference, the pad words must stay untouched, and the returned
+// bitmap must name exactly the non-empty slices.
+func checkSliceMasksTiers(t *testing.T, codes []uint32, dacBits, spi, pad int) {
+	t.Helper()
+	n, nw := len(codes), Words64(len(codes))
+	want := scalarSliceMasks(codes, dacBits, spi, n)
+	check := func(tier string, build func(masks [][]uint64) uint64) {
+		t.Helper()
+		masks := make([][]uint64, spi)
+		for s := range masks {
+			masks[s] = make([]uint64, nw+pad)
+			for i := range masks[s] {
+				masks[s][i] = ^uint64(0)
+			}
+		}
+		nonEmpty := build(masks)
+		var wantNonEmpty uint64
+		for s := range masks {
+			for w, word := range masks[s] {
+				wantWord := ^uint64(0)
+				if w < nw {
+					wantWord = want[s].Words()[w]
+				}
+				if word != wantWord {
+					t.Fatalf("%s dac=%d spi=%d n=%d pad=%d slice %d word %d: %#x != %#x",
+						tier, dacBits, spi, n, pad, s, w, word, wantWord)
+				}
+			}
+			if want[s].Count() > 0 {
+				wantNonEmpty |= 1 << uint(s)
+			}
+		}
+		if nonEmpty != wantNonEmpty {
+			t.Fatalf("%s dac=%d spi=%d n=%d: non-empty bitmap %#x, want %#x",
+				tier, dacBits, spi, n, nonEmpty, wantNonEmpty)
+		}
+	}
+	check("BuildSliceMasks", func(masks [][]uint64) uint64 { return BuildSliceMasks(codes, dacBits, masks) })
+	check("sliceMasksGeneric", func(masks [][]uint64) uint64 { return sliceMasksGeneric(codes, dacBits, masks) })
+	if hasAVX2 && dacBits == 1 && n > 0 && spi >= 1 && spi <= 32 {
+		check("sliceMasksAVX2", func(masks [][]uint64) uint64 { return sliceMasksAVX2(codes, masks) })
+	}
+}
+
 func TestBuildSliceMasksMatchesScalar(t *testing.T) {
 	r := xrand.New(2)
 	for _, dacBits := range []int{1, 2, 4, 8} {
 		spi := 16 / dacBits
 		for trial := 0; trial < 30; trial++ {
-			n := 1 + r.Intn(200)
-			codes := make([]uint32, n)
+			codes := make([]uint32, 1+r.Intn(200))
 			for i := range codes {
 				if !r.Bernoulli(0.4) {
 					codes[i] = uint32(r.Intn(1 << 16))
 				}
 			}
-			masks := make([][]uint64, spi)
-			for s := range masks {
-				masks[s] = make([]uint64, Words64(n))
-			}
-			nonEmpty := BuildSliceMasks(codes, dacBits, masks)
-			want := scalarSliceMasks(codes, dacBits, spi, n)
-			for s := range masks {
-				for w, word := range masks[s] {
-					if word != want[s].Words()[w] {
-						t.Fatalf("dac=%d trial %d slice %d word %d: %x != %x",
-							dacBits, trial, s, w, word, want[s].Words()[w])
-					}
+			checkSliceMasksTiers(t, codes, dacBits, spi, 0)
+		}
+	}
+	// One-bit DACs at every slice count the AVX2 tier takes, on codes
+	// with bits above spi (which no slice may pick up) and on
+	// log-uniform codes whose high slices are sparse.
+	for spi := 1; spi <= 32; spi++ {
+		for _, n := range sliceMaskLengths {
+			full := make([]uint32, n)
+			logUniform := make([]uint32, n)
+			for i := range full {
+				if r.Intn(4) != 0 {
+					full[i] = uint32(r.Uint64())
 				}
-				if got := nonEmpty&(1<<uint(s)) != 0; got != (want[s].Count() > 0) {
-					t.Fatalf("dac=%d trial %d slice %d: non-empty bit %v, scalar count %d",
-						dacBits, trial, s, got, want[s].Count())
+				if r.Intn(2) == 1 {
+					logUniform[i] = uint32(r.Uint64()) >> uint(r.Intn(32))
 				}
 			}
+			checkSliceMasksTiers(t, full, 1, spi, 0)
+			checkSliceMasksTiers(t, logUniform, 1, spi, 0)
 		}
 	}
 }
 
 func TestBuildSliceMasksOverwritesStale(t *testing.T) {
-	// Reused mask buffers must not leak bits from a previous window.
-	masks := [][]uint64{{^uint64(0)}, {^uint64(0)}}
-	if nonEmpty := BuildSliceMasks(make([]uint32, 8), 1, masks); nonEmpty != 0 {
-		t.Fatalf("all-zero codes reported non-empty slices %b", nonEmpty)
+	// Reused mask buffers must not leak bits from a previous window, and
+	// words past Words64(n) (a maskPlane's padding) must stay untouched.
+	ones := make([]uint32, 200)
+	for i := range ones {
+		ones[i] = ^uint32(0)
 	}
-	for s := range masks {
-		if masks[s][0] != 0 {
-			t.Fatal("stale bits survived")
+	for _, n := range sliceMaskLengths {
+		for spi := 1; spi <= 32; spi++ {
+			checkSliceMasksTiers(t, make([]uint32, n), 1, spi, 2)
+			checkSliceMasksTiers(t, ones[:n], 1, spi, 2)
+		}
+		for _, dacBits := range []int{2, 4, 8} {
+			checkSliceMasksTiers(t, make([]uint32, n), dacBits, 16/dacBits, 2)
+			checkSliceMasksTiers(t, ones[:n], dacBits, 32/dacBits, 2)
 		}
 	}
+	masks := [][]uint64{{^uint64(0)}, {^uint64(0)}}
+	if nonEmpty := BuildSliceMasks(make([]uint32, 8), 1, masks); nonEmpty != 0 || masks[0][0] != 0 || masks[1][0] != 0 {
+		t.Fatalf("all-zero codes: non-empty %b, masks %#x %#x", nonEmpty, masks[0][0], masks[1][0])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a mask shorter than Words64(n) must panic")
+		}
+	}()
+	BuildSliceMasks(make([]uint32, 65), 1, [][]uint64{make([]uint64, 2), make([]uint64, 1)})
+}
+
+// FuzzBuildSliceMasks cross-checks every BuildSliceMasks tier with the
+// scalar reference on windows of 0 to 300 codes built from the fuzz
+// input (codes repeat the data bytes), at DAC widths 1 to 8 and up to
+// 32 slices, into masks padded past Words64(n).
+func FuzzBuildSliceMasks(f *testing.F) {
+	f.Add(uint16(128), uint8(0), uint8(16), uint8(0), []byte{0x00, 0x00, 0x3f, 0x00, 0x00})
+	f.Add(uint16(19), uint8(0), uint8(13), uint8(2), []byte{0xff})
+	f.Add(uint16(97), uint8(1), uint8(11), uint8(1), []byte{0x81, 0x00, 0x00, 0x80, 0x7e, 0x00, 0x00})
+	f.Add(uint16(300), uint8(7), uint8(32), uint8(3), make([]byte, 5))
+	f.Fuzz(func(t *testing.T, n16 uint16, dac8, s8, pad8 uint8, data []byte) {
+		codes := make([]uint32, int(n16%301))
+		if len(data) > 0 {
+			for i := 0; i < 4*len(codes); i++ {
+				codes[i/4] |= uint32(data[i%len(data)]) << uint(8*(i%4))
+			}
+		}
+		checkSliceMasksTiers(t, codes, int(dac8%8)+1, int(s8%33), int(pad8%4))
+	})
 }
 
 func TestCountWords(t *testing.T) {
@@ -248,21 +337,46 @@ func BenchmarkCountAndPlanes(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildSliceMasks times one 16-slice one-bit-DAC window, half
+// of its codes zero: uniform codes below 2^16 (every slice dense),
+// log-uniform ones shifted right by a uniform 0..15 as perfbench's
+// kernel probe draws them (high slices sparse, as in real
+// activations), and a 19-row tail (GoogLeNet's 147-row first layer
+// past one 128-row tile). Each shape runs through the tier dispatch
+// selects (named by Kernel()) and the portable tier, so one run shows
+// the ratio.
 func BenchmarkBuildSliceMasks(b *testing.B) {
-	r := xrand.New(7)
-	codes := make([]uint32, 128)
-	for i := range codes {
-		if !r.Bernoulli(0.5) {
-			codes[i] = uint32(r.Intn(1 << 16))
+	for _, c := range []struct {
+		name       string
+		rows       int
+		logUniform bool
+	}{{"uniform", 128, false}, {"loguniform", 128, true}, {"tail19", 19, true}} {
+		r := xrand.New(7)
+		codes := make([]uint32, c.rows)
+		for i := range codes {
+			if r.Intn(2) == 1 {
+				codes[i] = uint32(r.Intn(1 << 16))
+				if c.logUniform {
+					codes[i] >>= uint(r.Intn(16))
+				}
+			}
 		}
-	}
-	masks := make([][]uint64, 16)
-	for s := range masks {
-		masks[s] = make([]uint64, Words64(len(codes)))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sink = int(BuildSliceMasks(codes, 1, masks))
+		masks := make([][]uint64, 16)
+		for s := range masks {
+			masks[s] = make([]uint64, Words64(len(codes)))
+		}
+		b.Run(c.name+"/"+Kernel(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = int(BuildSliceMasks(codes, 1, masks))
+			}
+		})
+		b.Run(c.name+"/portable", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = int(sliceMasksGeneric(codes, 1, masks))
+			}
+		})
 	}
 }
 

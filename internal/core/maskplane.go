@@ -3,12 +3,12 @@
 // codes into per-(row block, bit slice) wordline masks
 // (bitset.BuildSliceMasks) before counting OU occupancy — work that is
 // identical across the DOF modes of one sweep and across repeated runs
-// of a resident network, and that profiles as the single largest
-// phase-1 cost. A CodePlanes therefore also caches the derived masks:
-// one contiguous word plane per (sampled count, DAC width, slices per
-// input) holding every window's masks, its per-(window, row block)
-// non-empty-slice bitmaps, and per-slice popcounts, built once under
-// sync.Once from the code plane and read lock-free ever after.
+// of a resident network. A CodePlanes therefore also caches the
+// derived masks: one contiguous word plane per (sampled count, DAC
+// width, slices per input) holding every window's masks, its
+// per-(window, row block) non-empty-slice bitmaps, and per-slice
+// popcounts, built once under sync.Once from the code plane and read
+// lock-free ever after.
 //
 // A window without a cached plane builds its masks into a one-window
 // plane in phase 1's scratch with the same maskPlane.build, so

@@ -3,7 +3,7 @@
 # same skewed design-point workload (PR 8's shape, with the keys spread
 # over build-scoped seeds so the ring partitions them) first against a
 # single replica, then against a REPLICAS-wide loopback cluster, and
-# record both runs into one benchjson-shaped file. The readout is the
+# record both runs into one BENCH_*.json-shaped record. The readout is the
 # aggregate-throughput ratio (cluster req/s over single-replica req/s)
 # plus per-replica latency breakdown and forward rate; sreload's
 # built-in bit-identity ledger proves forwarded results byte-equal

@@ -2,7 +2,7 @@
 # SLO load benchmark for sreserved: boot the daemon with the result
 # cache disabled, replay a skewed repeated-key workload with sreload,
 # then repeat with the cache enabled, recording both runs into one
-# benchjson-shaped file. The acceptance claim is the printed ratio:
+# BENCH_*.json-shaped record. The acceptance claim is the printed ratio:
 # repeated-key p99 must improve >=10x cache-on vs cache-off, with
 # sreload's built-in bit-identity check proving equal correctness.
 # Usage: bench_load.sh <sreserved binary> <sreload binary> [out.json]

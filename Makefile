@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench-smoke smoke verify bench-quick bench-sweep bench-load bench-cluster experiments snapshot-roundtrip results profile clean
+.PHONY: all build fmt-check vet test race bench-smoke smoke verify bench-quick bench-sweep experiments snapshot-roundtrip results profile clean
 
 all: verify
 
@@ -35,15 +35,13 @@ verify: fmt-check vet build race bench-smoke
 
 # smoke boots the sreserved daemon for real: health check, a simulate
 # round-trip plus its cached repeat (bit-identical, no second sweep), a
-# /metrics scrape, a small sreload run, then SIGTERM and a clean-drain
-# exit — then repeats the exercise as a two-replica cluster
-# (consistent-hash ownership, one-hop forwarding, exactly one build per
-# key cluster-wide, clean drain of both replicas).
+# /metrics scrape, the wss and unknown-mode requests, a small sreload
+# run (concurrent clients, bit-identity checked), then SIGTERM and a
+# clean-drain exit.
 smoke:
 	$(GO) build -o bin/sreserved ./cmd/sreserved
 	$(GO) build -o bin/sreload ./cmd/sreload
 	./scripts/smoke_sreserved.sh ./bin/sreserved ./bin/sreload
-	./scripts/smoke_cluster.sh ./bin/sreserved
 
 # bench-quick: every figure/table regeneration benchmark, one iteration.
 bench-quick:
@@ -54,36 +52,6 @@ bench-quick:
 # either way).
 bench-sweep:
 	$(GO) test -bench 'BenchmarkVGG16Sweep' -benchtime 2x -run=NONE .
-
-# bench-load records the serving SLO numbers: sreload replays a skewed
-# repeated-key workload against sreserved with the result cache off,
-# then on, into $(BENCH_LOAD_OUT) — p50/p99/throughput/hit-rate per
-# run, with the >=10x p99 acceptance ratio printed at the end. Knobs
-# (REQUESTS, CLIENTS, KEYS, SEEDS, HOT, MAXWIN, MODES, SWEEPS) pass
-# through the environment.
-BENCH_LOAD_OUT ?= BENCH_PR8.json
-bench-load:
-	$(GO) build -o bin/sreserved ./cmd/sreserved
-	$(GO) build -o bin/sreload ./cmd/sreload
-	./scripts/bench_load.sh ./bin/sreserved ./bin/sreload $(BENCH_LOAD_OUT)
-
-# bench-cluster records the sharding acceptance numbers: the PR 8
-# skewed workload (keys spread over build-scoped seeds so the ring
-# partitions them) against one replica, then against a REPLICAS-wide
-# loopback cluster, into $(BENCH_CLUSTER_OUT) — per-run
-# p50/p99/throughput/hit-rate, per-replica breakdown, forward rate, and
-# the aggregate-throughput ratio printed at the end. The >=1.5x
-# 2-replica target presumes a multi-core box: replicas are separate
-# processes, so on one hardware thread the cluster run measures
-# context-switching plus a forwarding hop, not scale-out (same caveat
-# as BENCH_PR4's parallel ratios — record nproc next to the number).
-# Knobs (NETWORK, REQUESTS, CLIENTS, KEYS, SEEDS, HOT, MAXWIN, MODES,
-# SWEEPS, REPLICAS) pass through the environment.
-BENCH_CLUSTER_OUT ?= BENCH_PR9.json
-bench-cluster:
-	$(GO) build -o bin/sreserved ./cmd/sreserved
-	$(GO) build -o bin/sreload ./cmd/sreload
-	./scripts/bench_cluster.sh ./bin/sreserved ./bin/sreload $(BENCH_CLUSTER_OUT)
 
 # experiments records the PR 10 WSS composability table: every Table 2
 # network rebuilt with a 2-slice weight cap and run under orc+dof, wss,

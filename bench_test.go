@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md §6 maps each benchmark to its experiment).
+// evaluation (DESIGN.md §7 maps each benchmark to its experiment).
 //
 // Each iteration performs a complete quick-scope regeneration of the
 // experiment (small networks, trimmed sweeps, capped window sampling) so

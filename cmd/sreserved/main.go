@@ -10,12 +10,6 @@
 //	sreserved -addr :9000 -sweeps 4 -workers 8
 //	sreserved -metrics final.prom -metrics-format prom
 //
-//	# sharded cluster: every replica gets the same -peers list and its
-//	# own -addr/-self; keys are partitioned by consistent hashing and
-//	# mis-addressed requests are forwarded one hop to their owner
-//	sreserved -addr 127.0.0.1:8344 -peers 127.0.0.1:8344,127.0.0.1:8345
-//	sreserved -addr 127.0.0.1:8345 -peers 127.0.0.1:8344,127.0.0.1:8345
-//
 //	curl localhost:8344/healthz
 //	curl localhost:8344/v1/networks
 //	curl localhost:8344/metrics
@@ -57,33 +51,9 @@ func main() {
 			"resident-network registry capacity (e.g. 2GiB; 0 = unbounded)")
 		workers   = cli.AddWorkers(flag.CommandLine)
 		snapDir   = cli.AddSnapshotDir(flag.CommandLine)
-		peersFl   = cli.AddPeers(flag.CommandLine)
-		selfFl    = cli.AddSelf(flag.CommandLine)
 		metricsFl = cli.AddMetrics(flag.CommandLine)
 	)
 	flag.Parse()
-
-	// Cluster mode: -peers lists every replica (this one included);
-	// -self defaults to the listen address. Validated here so a
-	// misconfigured replica dies at startup with a usable message
-	// instead of forwarding its own keys away.
-	peers := cli.SplitAddrs(*peersFl)
-	self := *selfFl
-	if len(peers) > 0 {
-		if self == "" {
-			self = *addr
-		}
-		found := false
-		for _, p := range peers {
-			if p == self {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fatal(fmt.Errorf("-self %q is not in -peers %v (pass -self with the address this replica is listed under)", self, peers))
-		}
-	}
 
 	resultCache := cacheCap.Int64()
 	if resultCache <= 0 {
@@ -99,20 +69,13 @@ func main() {
 		SnapshotDir:      *snapDir,
 		ResultCacheBytes: resultCache,
 		RegistryBytes:    regCap.Int64(),
-		Peers:            peers,
-		Self:             self,
 	})
 	httpSrv := &http.Server{Handler: srv}
 
 	ln, err := net.Listen("tcp", *addr)
 	fatal(err)
-	if len(peers) > 0 {
-		fmt.Fprintf(os.Stderr, "sreserved: serving on http://%s (queue %d, sweeps %d; shard %s of %d-replica cluster)\n",
-			ln.Addr(), *queue, *sweeps, self, len(peers))
-	} else {
-		fmt.Fprintf(os.Stderr, "sreserved: serving on http://%s (queue %d, sweeps %d)\n",
-			ln.Addr(), *queue, *sweeps)
-	}
+	fmt.Fprintf(os.Stderr, "sreserved: serving on http://%s (queue %d, sweeps %d)\n",
+		ln.Addr(), *queue, *sweeps)
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()

@@ -28,31 +28,6 @@ func AddSnapshotDir(fs *flag.FlagSet) *string {
 		"consult (and populate) this directory of built-network snapshots instead of always building")
 }
 
-// AddPeers registers the shared -peers flag on fs (sreserved's cluster
-// membership; sreload reuses the same grammar for multi-target load).
-func AddPeers(fs *flag.FlagSet) *string {
-	return fs.String("peers", "",
-		"comma-separated replica addresses of a sharded cluster, including this replica (empty = single-replica mode)")
-}
-
-// AddSelf registers the shared -self flag on fs.
-func AddSelf(fs *flag.FlagSet) *string {
-	return fs.String("self", "",
-		"this replica's own address as listed in -peers (default: the listen address)")
-}
-
-// SplitAddrs splits a comma-separated address list, trimming
-// whitespace and dropping empty elements, so "a, b," and "a,b" agree.
-func SplitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // ByteSize is a flag.Value holding a byte count. It parses a plain
 // integer (bytes) or an integer with a binary suffix — KiB, MiB, GiB
 // (or the short forms K, M, G, and B for bytes), case-insensitive —

@@ -643,10 +643,10 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	var work []batchWork // indexed [(input·sampled + window)·nTiles + tile]
 	if cfg.Mode.DOF {
 		// Resolve the derived slice-mask plane (maskplane.go): when the
-		// code plane is cached, the per-window BuildSliceMasks sweep and
-		// its popcounts are shared across DOF modes and repeated runs
-		// the same way. Without one (size bound, no code plane) phase 1
-		// builds each window's masks in its scratch.
+		// code plane is cached, the per-window BuildSliceMasks sweep is
+		// shared across DOF modes and repeated runs the same way.
+		// Without one (size bound, no code plane) phase 1 builds each
+		// window's masks in its scratch.
 		var mp *maskPlane
 		if plane != nil {
 			mp = l.Codes.maskPlane(plane, lay, sampled, cfg.Quant.DACBits, spi, maskCacheMetrics{
@@ -925,12 +925,23 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 				mbase := (slot*lay.RowBlocks + rb) * spi
 				ne := mp.nonEmpty[slot*lay.RowBlocks+rb]
 				block := mp.words[mbase*maxWords : (mbase+spi)*maxWords]
+				// A Baseline-scheme group drives every row of the slice,
+				// so each non-empty slice's popcount serves every column
+				// block of the row block.
+				var sliceNZ [32]int32
+				if baseline {
+					w := bitset.Words64(lay.TileRows(rb))
+					for sl := ne; sl != 0; sl &= sl - 1 {
+						s := bits.TrailingZeros64(sl)
+						sliceNZ[s] = int32(bitset.CountWords(block[s*maxWords : s*maxWords+w]))
+					}
+				}
 				for cb := range plans[rb] {
 					tp := &plans[rb][cb]
 					var ous, wl int64
 					if baseline {
 						for sl := ne; sl != 0; sl &= sl - 1 {
-							nz := int(mp.sliceNZ[mbase+bits.TrailingZeros64(sl)])
+							nz := int(sliceNZ[bits.TrailingZeros64(sl)])
 							n := int64(tp.plans.Groups)
 							ous += int64(ouTab[nz]) * n
 							wl += int64(nz) * n

@@ -5,10 +5,9 @@
 // identical across the DOF modes of one sweep and across repeated runs
 // of a resident network. A CodePlanes therefore also caches the
 // derived masks: one contiguous word plane per (sampled count, DAC
-// width, slices per input) holding every window's masks, its
-// per-(window, row block) non-empty-slice bitmaps, and per-slice
-// popcounts, built once under sync.Once from the code plane and read
-// lock-free ever after.
+// width, slices per input) holding every window's masks and its
+// per-(window, row block) non-empty-slice bitmaps, built once under
+// sync.Once from the code plane and read lock-free ever after.
 //
 // A window without a cached plane builds its masks into a one-window
 // plane in phase 1's scratch with the same maskPlane.build, so
@@ -50,12 +49,11 @@ type maskPlaneEntry struct {
 // rb, slice s) start at index ((wi·rowBlocks+rb)·spi+s)·maxWords, with
 // maxWords = Words64(XbarRows): padded to the full-tile word count so
 // offsets are uniform, which lets bitset.TileOUs take a row block's
-// slices as one strided block. nonEmpty and sliceNZ are indexed by the
-// same (wi·rowBlocks+rb) and ((wi·rowBlocks+rb)·spi+s) keys.
+// slices as one strided block. nonEmpty is indexed by the same
+// (wi·rowBlocks+rb) key.
 type maskPlane struct {
 	words    []uint64
 	nonEmpty []uint64
-	sliceNZ  []int32
 }
 
 // newMaskPlane allocates a zeroed plane of the given window slots.
@@ -64,16 +62,15 @@ func newMaskPlane(slots int, lay mapping.Layout, spi int) *maskPlane {
 	return &maskPlane{
 		words:    make([]uint64, n*spi*bitset.Words64(lay.XbarRows)),
 		nonEmpty: make([]uint64, n),
-		sliceNZ:  make([]int32, n*spi),
 	}
 }
 
-// build fills window slot's masks, non-empty bitmaps and per-slice
-// popcounts from the window's lay.Rows codes in one BuildSliceMasks
-// sweep per row block; heads is len-spi header scratch. Every field of
-// the slot is overwritten, so a recycled plane needs no clearing: the
-// padding words past a short row block's tail are never written and
-// stay zero.
+// build fills window slot's masks and non-empty bitmaps from the
+// window's lay.Rows codes in one BuildSliceMasks sweep per row block;
+// heads is len-spi header scratch. Every field of the slot is
+// overwritten, so a recycled plane needs no clearing: the padding
+// words past a short row block's tail are never written and stay
+// zero.
 func (mp *maskPlane) build(slot int, codes []uint32, lay mapping.Layout, dacBits int, heads [][]uint64) {
 	maxWords := bitset.Words64(lay.XbarRows)
 	for rb := 0; rb < lay.RowBlocks; rb++ {
@@ -85,15 +82,7 @@ func (mp *maskPlane) build(slot int, codes []uint32, lay mapping.Layout, dacBits
 			off := (base + s) * maxWords
 			heads[s] = mp.words[off : off+w : off+w]
 		}
-		ne := bitset.BuildSliceMasks(codes[lo:hi], dacBits, heads)
-		mp.nonEmpty[slot*lay.RowBlocks+rb] = ne
-		for s := range heads {
-			nz := 0
-			if ne&(1<<uint(s)) != 0 {
-				nz = bitset.CountWords(heads[s])
-			}
-			mp.sliceNZ[base+s] = int32(nz)
-		}
+		mp.nonEmpty[slot*lay.RowBlocks+rb] = bitset.BuildSliceMasks(codes[lo:hi], dacBits, heads)
 	}
 }
 
@@ -137,7 +126,7 @@ func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacB
 			mp.build(wi, plane[wi*lay.Rows:(wi+1)*lay.Rows], lay, dacBits, heads)
 		}
 		e.mp = mp
-		size := int64(len(mp.words))*8 + int64(len(mp.nonEmpty))*8 + int64(len(mp.sliceNZ))*4
+		size := int64(len(mp.words)+len(mp.nonEmpty)) * 8
 		m.bytes.Add(size)
 		c.resident.Add(size)
 	})

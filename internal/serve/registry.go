@@ -279,9 +279,9 @@ func (r *Registry) UseSnapshots(dir string, hits, misses *metrics.Counter) {
 }
 
 // CountBuilds mirrors the build count into a metrics counter
-// (nil-safe), so "exactly one build per key cluster-wide" is checkable
-// from every replica's /metrics, not just its /v1/networks. Call
-// before serving begins (it is not synchronized against Get).
+// (nil-safe), so "exactly one build per key" is checkable from
+// /metrics, not just /v1/networks. Call before serving begins (it is
+// not synchronized against Get).
 func (r *Registry) CountBuilds(c *metrics.Counter) { r.buildsC = c }
 
 // Builds returns how many network builds the registry has started —

@@ -47,7 +47,8 @@ type Options struct {
 	Metrics *metrics.Registry
 	// SnapshotDir, when non-empty, makes cold registry keys consult
 	// (and populate) a network-snapshot directory before building, so
-	// restarts and replicas sharing the directory start warm.
+	// a restarted daemon, or any other sharing the directory, starts
+	// warm.
 	// sre_serve_snapshot_{hits,misses}_total count the outcomes.
 	SnapshotDir string
 	// ResultCacheBytes bounds the deterministic result cache (default
@@ -59,18 +60,6 @@ type Options struct {
 	// bytes (default 0 = unbounded). Past the cap the least-recently-
 	// used networks not pinned by a running sweep are evicted.
 	RegistryBytes int64
-	// Peers lists every replica address of a sharded cluster,
-	// including this one (order-insensitive; empty = single-replica
-	// mode, byte-identical to pre-cluster behavior). Registry keys are
-	// partitioned over the peers by consistent hashing, and requests
-	// for keys this replica does not own are forwarded one hop to the
-	// owner.
-	Peers []string
-	// Self is this replica's own address as it appears in Peers.
-	// Required when Peers is non-empty; NewServer panics if it is
-	// missing from the list (a misconfigured replica would silently
-	// forward its own keys away).
-	Self string
 }
 
 func (o Options) withDefaults() Options {
@@ -105,7 +94,6 @@ type Server struct {
 	registry *Registry
 	gate     *Gate
 	batcher  *Batcher
-	cluster  *cluster // nil in single-replica mode
 	mux      *http.ServeMux
 	stop     context.CancelFunc // cancels the sweeps' base context
 
@@ -136,13 +124,6 @@ func NewServer(opts Options) *Server {
 	}
 	s.gate.Track(s.inflight)
 	s.registry.CountBuilds(shard.Counter("sre_serve_registry_builds_total"))
-	if len(opts.Peers) > 0 {
-		c, err := newCluster(opts.Peers, opts.Self, shard)
-		if err != nil {
-			panic(err) // startup misconfiguration; cmd/sreserved validates first
-		}
-		s.cluster = c
-	}
 	if opts.SnapshotDir != "" {
 		s.registry.UseSnapshots(opts.SnapshotDir,
 			shard.Counter("sre_serve_snapshot_hits_total"),
@@ -295,15 +276,11 @@ type NetworksResponse struct {
 	// Resident lists the built, cached design points.
 	Resident []string `json:"resident"`
 	// ResidentDetail reports, per resident design point, the accounted
-	// size, the pin count (sweeps currently running against it), and —
-	// in cluster mode — the replica the ring says owns it, so eviction
-	// and rebalancing behavior are observable from the outside.
+	// size and the pin count (sweeps currently running against it), so
+	// eviction behavior is observable from the outside.
 	ResidentDetail []ResidentNetwork `json:"resident_detail,omitempty"`
 	// Builds counts network builds since startup.
 	Builds int64 `json:"builds"`
-	// Self and Peers describe the cluster shape (cluster mode only).
-	Self  string   `json:"self,omitempty"`
-	Peers []string `json:"peers,omitempty"`
 }
 
 // ResidentNetwork is one resident design point's observability row.
@@ -311,7 +288,6 @@ type ResidentNetwork struct {
 	Key       string `json:"key"`
 	SizeBytes int64  `json:"size_bytes"`
 	Pinned    int    `json:"pinned"`
-	Owner     string `json:"owner,omitempty"` // cluster mode: ring owner
 }
 
 type errorResponse struct {
@@ -338,41 +314,31 @@ func (s *Server) handleNetworks(w http.ResponseWriter, r *http.Request) {
 		resp.Resident[i] = ks
 		if resp.ResidentDetail != nil {
 			resp.ResidentDetail[i] = ResidentNetwork{Key: ks, SizeBytes: ri.SizeBytes, Pinned: ri.Pinned}
-			if s.cluster != nil {
-				resp.ResidentDetail[i].Owner = s.cluster.ring.Owner(ks)
-			}
 		}
-	}
-	if s.cluster != nil {
-		resp.Self = s.cluster.self
-		resp.Peers = s.cluster.ring.Nodes()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// maxRequestBytes bounds a /v1/simulate body, which is decoded before
+// admission; real requests are a few hundred bytes.
+const maxRequestBytes = 1 << 20
+
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.requests.Inc()
 	var req SimulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
 	key, batchKey, modes, status, err := s.resolve(req)
 	if err != nil {
 		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
-	}
-
-	// Cluster mode: a key this replica does not own is proxied one hop
-	// to its owner — before admission, so forwarded traffic queues at
-	// the owner's gate, not twice. A request already stamped by a peer
-	// is answered locally no matter what this replica's ring says
-	// (one-hop cap: disagreeing rings can mis-place a key, never loop).
-	if s.cluster != nil && r.Header.Get(ForwardHeader) == "" {
-		if owner, local := s.cluster.owner(key); !local {
-			s.forward(w, r, owner, req)
-			return
-		}
 	}
 
 	if err := s.gate.Enter(); err != nil {
@@ -401,8 +367,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, context.Canceled), errors.Is(err, ErrDraining):
 		// Client went away or the server is stopping mid-flight. Both
-		// are retryable against a healthy replica, so advertise that
-		// like every other 503 this server emits.
+		// are retryable, so advertise that like every other 503 this
+		// server emits.
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request cancelled"})
 		return

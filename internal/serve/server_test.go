@@ -195,10 +195,17 @@ func TestSimulateRequestValidation(t *testing.T) {
 		{`{"network":"MNIST","mode":"orc","config":{"crossbar":-4}}`, http.StatusBadRequest},
 		{`{"network":"MNIST","mode":"orc+dof","config":{"act_bits":40}}`, http.StatusBadRequest}, // codes are uint32
 		{`not json`, http.StatusBadRequest},
+		// A body past the 1 MiB bound is refused before admission.
+		{`{"network":"MNIST","mode":"orc","prune":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, c := range cases {
-		if status, body := postSimulate(t, ts.URL, c.body); status != c.want {
-			t.Errorf("%s: status %d (want %d): %s", c.body, status, c.want, body)
+		status, body := postSimulate(t, ts.URL, c.body)
+		if status != c.want {
+			t.Errorf("%.80s: status %d (want %d): %.200s", c.body, status, c.want, body)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Errorf("%.80s: reject body is not an {\"error\": ...} object: %.200s", c.body, body)
 		}
 	}
 	// An unknown mode's 400 must name the rejected spelling so clients
@@ -282,6 +289,22 @@ func TestConcurrentSameKeyBuildsOnce(t *testing.T) {
 	}
 	if !strings.HasPrefix(nets.Resident[0], "MNIST/ssl/") {
 		t.Fatalf("resident key = %q", nets.Resident[0])
+	}
+	// Every request has been answered, so the sweep slot and the pin
+	// were released before the replies went out: the detail row shows
+	// no pin.
+	if len(nets.ResidentDetail) != 1 {
+		t.Fatalf("resident_detail = %+v, want exactly the one built network", nets.ResidentDetail)
+	}
+	d := nets.ResidentDetail[0]
+	if d.Key != nets.Resident[0] {
+		t.Fatalf("detail key %q != resident key %q", d.Key, nets.Resident[0])
+	}
+	if d.SizeBytes <= 0 {
+		t.Fatalf("resident size_bytes = %d, want > 0", d.SizeBytes)
+	}
+	if d.Pinned != 0 {
+		t.Fatalf("resident pinned = %d, want 0 (no sweep in flight)", d.Pinned)
 	}
 }
 
@@ -457,10 +480,20 @@ func TestDrainFinishesInflightThenRejects(t *testing.T) {
 	}
 	wg.Wait() // every admitted request completed with a full 200 response
 
-	// Post-drain requests bounce with 503, not a connection error.
-	status, body := postSimulate(t, ts.URL, `{"network":"MNIST","mode":"orc"}`)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("post-drain status %d (want 503): %s", status, body)
+	// Post-drain requests bounce with a retryable 503, not a
+	// connection error.
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
+		strings.NewReader(`{"network":"MNIST","mode":"orc"}`))
+	if err != nil {
+		t.Fatalf("post-drain POST: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("post-drain status %d (want 503): %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("post-drain Retry-After = %q, want \"1\"", got)
 	}
 	if !bytes.Contains(body, []byte("draining")) {
 		t.Fatalf("post-drain body %s", body)

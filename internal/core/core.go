@@ -249,12 +249,9 @@ func publishPoolMetrics(reg *metrics.Registry, pool *parallel.Pool) {
 	sh.Gauge("sre_parallel_pool_width").Set(int64(pool.Workers()))
 	sh.Gauge("sre_parallel_for_calls").Set(st.ForCalls.Load())
 	sh.Gauge("sre_parallel_items").Set(st.Items.Load())
-	sh.Gauge("sre_parallel_shards_inline").Set(st.ShardsInline.Load())
-	sh.Gauge("sre_parallel_shards_spawned").Set(st.ShardsSpawned.Load())
+	sh.Gauge("sre_parallel_chunks").Set(st.Chunks.Load())
+	sh.Gauge("sre_parallel_workers_spawned").Set(st.Spawned.Load())
 	sh.Gauge("sre_parallel_spawn_wait_ns").Set(st.SpawnWaitNanos.Load())
-	sh.Gauge("sre_parallel_dyn_for_calls").Set(st.DynCalls.Load())
-	sh.Gauge("sre_parallel_dyn_chunks").Set(st.DynChunks.Load())
-	sh.Gauge("sre_parallel_dyn_workers").Set(st.DynWorkers.Load())
 }
 
 // DefaultConfig returns the Table 1 configuration in baseline mode.
@@ -666,13 +663,12 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 				inputs[j] = p1Input{acts: src}
 			}
 		}
-		// Dynamic chunked sharding absorbs the skew of
-		// activation-dependent window costs. Result slots stay disjoint,
-		// so bit-identity is unaffected.
+		// Chunk claiming absorbs the skew of activation-dependent
+		// window costs. Result slots stay disjoint, so bit-identity is
+		// unaffected.
 		total := n * sampled
 		work = ls.workSlots(total * nTiles)
-		err = pool.ForDynamic(ctx, total, parallel.ChunkFor(total, pool.Workers()),
-			kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh))
+		err = pool.For(ctx, total, kernelPhase1(ctx, l, cfg, plans, work, sampled, windows, inputs, msh))
 		if err != nil {
 			return nil, err
 		}

@@ -24,11 +24,16 @@ type Geometry struct {
 // Default returns the Table 1 geometry: 128×128 arrays with 16×16 OUs.
 func Default() Geometry { return Geometry{XbarRows: 128, XbarCols: 128, SWL: 16, SBL: 16} }
 
+// maxCrossbar bounds each crossbar dimension: 8× the paper's 128. A
+// layer's phase-1 scratch and mask planes grow linearly with the array
+// height, so the bound keeps one run's allocation bounded.
+const maxCrossbar = 1024
+
 // Validate rejects inconsistent geometry.
 func (g Geometry) Validate() error {
 	switch {
-	case g.XbarRows <= 0 || g.XbarCols <= 0:
-		return fmt.Errorf("mapping: non-positive crossbar size %dx%d", g.XbarRows, g.XbarCols)
+	case g.XbarRows <= 0 || g.XbarCols <= 0 || g.XbarRows > maxCrossbar || g.XbarCols > maxCrossbar:
+		return fmt.Errorf("mapping: crossbar size %dx%d outside [1,%d]", g.XbarRows, g.XbarCols, maxCrossbar)
 	case g.SWL <= 0 || g.SWL > g.XbarRows:
 		return fmt.Errorf("mapping: OU height %d outside [1,%d]", g.SWL, g.XbarRows)
 	case g.SBL <= 0 || g.SBL > g.XbarCols:

@@ -22,11 +22,16 @@ func TestValidate(t *testing.T) {
 		{XbarRows: 128, XbarCols: 128, SWL: 0, SBL: 16},
 		{XbarRows: 128, XbarCols: 128, SWL: 256, SBL: 16},
 		{XbarRows: 128, XbarCols: 128, SWL: 16, SBL: 256},
+		{XbarRows: 2048, XbarCols: 2048, SWL: 16, SBL: 16},
+		{XbarRows: 128, XbarCols: 1 << 30, SWL: 16, SBL: 16},
 	}
 	for _, g := range bad {
 		if g.Validate() == nil {
 			t.Fatalf("accepted %+v", g)
 		}
+	}
+	if err := (Geometry{XbarRows: maxCrossbar, XbarCols: maxCrossbar, SWL: 16, SBL: 16}).Validate(); err != nil {
+		t.Fatalf("rejected the largest crossbar: %v", err)
 	}
 }
 

@@ -1,18 +1,37 @@
-// Package parallel is the simulator's shared worker-pool runner.
+// Package parallel is the simulator's shared worker-pool loop.
 //
-// A Pool bounds how many goroutines work at once, across nested For
-// calls: the window loop of one layer, the layers of one network, and
-// the modes of one sweep all draw workers from the same pool, so total
-// concurrency never exceeds the configured width no matter how the
-// loops nest. Extra workers are acquired with a non-blocking token
-// grab — when the pool is saturated the caller simply runs the shard
-// inline — so nested For calls can never deadlock.
+// Pool.For is the only loop. It cuts [0, n) into contiguous chunks of
+// ⌈n/(8·width)⌉ indices, clamped to [1, 32], and hands them out from
+// one atomic cursor to the caller and to as many spawned workers as
+// the pool has free slots. The modes of one sweep, the layers of one
+// network, the windows and tiles of one layer all nest on one pool.
+// For keeps these rules:
 //
-// Determinism: For only partitions index space; it performs no
-// reduction. Callers write per-index (or per-shard) results into
-// pre-sized slices and reduce serially afterwards, which keeps results
-// bit-identical to a serial run regardless of worker count or
-// scheduling order.
+//   - Width bound. At most Workers() goroutines run loop bodies of one
+//     pool at once, at any nesting depth: the outermost caller and each
+//     spawned worker hold one slot. Spawning never waits; when no slot
+//     is free, the caller claims every chunk itself.
+//   - Lending. A caller that runs out of chunks while its workers still
+//     run gives its slot back to the pool for the wait, so a loop
+//     nested under one of those workers can spawn on it. Before For
+//     returns, the caller takes a slot back, waiting for one to free if
+//     a sibling loop took it first; a take-back that did not wait could
+//     overshoot the width by one per lender.
+//   - No deadlock. A take-back waits only on goroutines that are
+//     running loop bodies, and those never wait on a lender. That holds
+//     while no sync.Once body or held lock calls For on the same pool:
+//     a body blocked on that lock would wait on a lender. The
+//     simulator's are serial — CodePlanes.plane, CodePlanes.maskPlane,
+//     Structure.PlanSetMetered and the progress lock of
+//     SimulateNetworkBatchContext — and must stay so.
+//   - Cancellation. No chunk is claimed once ctx is cancelled (chunks
+//     already running finish), and For returns ctx.Err().
+//   - Determinism. fn covers each index exactly once, in disjoint
+//     ranges, and For reduces nothing: callers that write pre-sized
+//     slots and reduce serially get one result at any width.
+//
+// A nil *Pool is valid and runs every chunk inline on the caller's
+// goroutine.
 package parallel
 
 import (
@@ -23,40 +42,30 @@ import (
 	"time"
 )
 
-// Pool bounds concurrent workers. Create one with New; a nil *Pool is
-// valid and runs everything inline on the caller's goroutine.
+// Pool bounds concurrent workers. Create one with New.
 type Pool struct {
 	workers int
-	sem     chan struct{} // tokens for workers beyond the caller
+	mu      sync.Mutex
+	freed   sync.Cond // signalled when a slot returns to free
+	free    int       // slots held by no goroutine
 	stats   atomic.Pointer[Stats]
 }
 
 // Stats is the pool's cumulative execution accounting, collected only
-// after EnableStats. All fields are atomics: the pool is shared across
-// goroutines, and these counts sit outside the per-shard hot loops (one
-// update per For call or per shard, never per item).
+// after EnableStats: atomics updated once per For call or spawned
+// worker, never per item.
 type Stats struct {
 	// ForCalls counts For invocations that dispatched work.
 	ForCalls atomic.Int64
 	// Items counts the total index-space size dispatched (Σ n).
 	Items atomic.Int64
-	// ShardsInline counts shards run on the caller's goroutine — the
-	// caller's own final shard plus any saturation fallbacks.
-	ShardsInline atomic.Int64
-	// ShardsSpawned counts shards handed to pool goroutines.
-	ShardsSpawned atomic.Int64
-	// SpawnWaitNanos accumulates, over spawned shards, the delay between
-	// the spawn request and the shard body starting — the pool's
-	// scheduling latency ("queue wait").
+	// Chunks counts the chunks those calls cut (Σ ⌈n/chunk⌉).
+	Chunks atomic.Int64
+	// Spawned counts the workers For started beside its caller.
+	Spawned atomic.Int64
+	// SpawnWaitNanos sums, over spawned workers, the delay between the
+	// spawn and the worker's first claim: the pool's queue wait.
 	SpawnWaitNanos atomic.Int64
-	// DynCalls counts ForDynamic invocations that dispatched work.
-	DynCalls atomic.Int64
-	// DynChunks counts the chunks ForDynamic's workers claimed (Σ
-	// ceil(n/chunk) over calls).
-	DynChunks atomic.Int64
-	// DynWorkers counts worker bodies that drained a ForDynamic cursor
-	// (the caller's own body plus any spawned ones).
-	DynWorkers atomic.Int64
 }
 
 // EnableStats switches on execution accounting for this pool and
@@ -87,7 +96,9 @@ func New(width int) *Pool {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{workers: width, sem: make(chan struct{}, width-1)}
+	p := &Pool{workers: width, free: width - 1}
+	p.freed.L = &p.mu
+	return p
 }
 
 // Workers returns the pool's width (1 for a nil pool).
@@ -98,175 +109,92 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-// For partitions [0, n) into at most Workers() contiguous shards and
-// calls fn(start, end) on each, using the caller's goroutine plus as
-// many pool workers as are free. fn must be safe to run concurrently
-// on disjoint shards. For stops dispatching new shards once ctx is
-// cancelled (shards already running finish first) and returns ctx.Err
-// if the context was cancelled at any point, nil otherwise.
+// For calls fn(start, end) on contiguous chunks that cover [0, n)
+// exactly once, on the caller's goroutine and on as many spawned
+// workers as the pool has free slots, under the package's rules. fn
+// must be safe to run concurrently on disjoint ranges.
 func (p *Pool) For(ctx context.Context, n int, fn func(start, end int)) error {
-	if n <= 0 {
+	if n <= 0 || ctx.Err() != nil {
 		return ctx.Err()
 	}
+	width := p.Workers()
+	chunk := chunkSize(n, width)
+	nChunks := (n + chunk - 1) / chunk
 	st := p.Stats()
 	if st != nil {
 		st.ForCalls.Add(1)
 		st.Items.Add(int64(n))
-	}
-	shards := p.Workers()
-	if shards > n {
-		shards = n
-	}
-	if shards == 1 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if st != nil {
-			st.ShardsInline.Add(1)
-		}
-		fn(0, n)
-		return ctx.Err()
-	}
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		if err := ctx.Err(); err != nil {
-			wg.Wait()
-			return err
-		}
-		start, end := s*n/shards, (s+1)*n/shards
-		if s == shards-1 {
-			// The caller always works the last shard itself.
-			if st != nil {
-				st.ShardsInline.Add(1)
-			}
-			fn(start, end)
-			break
-		}
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			var spawned time.Time
-			if st != nil {
-				st.ShardsSpawned.Add(1)
-				spawned = time.Now()
-			}
-			go func() {
-				defer func() { <-p.sem; wg.Done() }()
-				if st != nil {
-					st.SpawnWaitNanos.Add(time.Since(spawned).Nanoseconds())
-				}
-				fn(start, end)
-			}()
-		default:
-			// Pool saturated (e.g. a nested For): run inline.
-			if st != nil {
-				st.ShardsInline.Add(1)
-			}
-			fn(start, end)
-		}
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
-// ForDynamic partitions [0, n) into fixed-size contiguous chunks and
-// lets workers claim them through an atomic cursor — work stealing at
-// chunk granularity, for loops whose per-index cost is too uneven for
-// For's static shards (one slow chunk no longer serializes the tail
-// behind the coarsest shard). Like For, it acquires extra workers with
-// a non-blocking token grab (saturated nested calls degrade to the
-// caller draining every chunk inline, so nesting cannot deadlock) and
-// a nil pool runs everything on the caller's goroutine.
-//
-// Determinism: every index is processed exactly once, by exactly one
-// worker, with fn(start, end) covering disjoint ranges — ForDynamic
-// performs no reduction, so callers that write per-index results to
-// disjoint pre-sized slots and reduce serially afterwards get results
-// bit-identical to a serial run at any width, exactly as with For.
-// Only the assignment of chunks to workers is scheduling-dependent.
-//
-// ForDynamic stops claiming new chunks once ctx is cancelled (chunks
-// already running finish first) and returns ctx.Err if the context was
-// cancelled at any point, nil otherwise.
-func (p *Pool) ForDynamic(ctx context.Context, n, chunk int, fn func(start, end int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	nChunks := (n + chunk - 1) / chunk
-	st := p.Stats()
-	if st != nil {
-		st.DynCalls.Add(1)
-		st.Items.Add(int64(n))
-		st.DynChunks.Add(int64(nChunks))
+		st.Chunks.Add(int64(nChunks))
 	}
 	var cursor atomic.Int64
-	body := func() {
-		if st != nil {
-			st.DynWorkers.Add(1)
-		}
+	claim := func() {
 		for ctx.Err() == nil {
 			c := int(cursor.Add(1)) - 1
 			if c >= nChunks {
 				return
 			}
-			start := c * chunk
-			end := start + chunk
-			if end > n {
-				end = n
-			}
-			fn(start, end)
+			fn(c*chunk, min(c*chunk+chunk, n))
 		}
-	}
-	workers := p.Workers()
-	if workers > nChunks {
-		workers = nChunks
 	}
 	var wg sync.WaitGroup
-spawn:
-	for w := 1; w < workers; w++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			var spawned time.Time
-			if st != nil {
-				st.ShardsSpawned.Add(1)
-				spawned = time.Now()
-			}
-			go func() {
-				defer func() { <-p.sem; wg.Done() }()
-				if st != nil {
-					st.SpawnWaitNanos.Add(time.Since(spawned).Nanoseconds())
-				}
-				body()
-			}()
-		default:
-			// Saturated: the caller's own drain loop below covers the
-			// remaining chunks.
-			break spawn
+	spawned := 0
+	for ; spawned < min(width, nChunks)-1 && p.tryTake(); spawned++ {
+		wg.Add(1)
+		var start time.Time
+		if st != nil {
+			st.Spawned.Add(1)
+			start = time.Now()
 		}
+		go func() {
+			defer wg.Done()
+			defer p.give()
+			if st != nil {
+				st.SpawnWaitNanos.Add(time.Since(start).Nanoseconds())
+			}
+			claim()
+		}()
 	}
-	body()
-	wg.Wait()
+	claim()
+	if spawned > 0 {
+		p.give() // lend the caller's slot while its workers finish
+		wg.Wait()
+		p.take()
+	}
 	return ctx.Err()
 }
 
-// ChunkFor sizes a ForDynamic chunk for n items over the given worker
-// count: ~8 chunks per worker leaves slack for stealing when per-item
-// costs skew, clamped to [1, 32] so a chunk neither degenerates to
-// per-index cursor contention nor starves the steal.
-func ChunkFor(n, workers int) int {
-	if workers < 1 {
-		workers = 1
+// tryTake claims a free slot if there is one.
+func (p *Pool) tryTake() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	ok := p.free > 0
+	if ok {
+		p.free--
 	}
-	c := (n + 8*workers - 1) / (8 * workers)
-	if c < 1 {
-		c = 1
+	return ok
+}
+
+// take claims a slot, waiting for one to free.
+func (p *Pool) take() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.free == 0 {
+		p.freed.Wait()
 	}
-	if c > 32 {
-		c = 32
-	}
-	return c
+	p.free--
+}
+
+// give returns a slot to the pool.
+func (p *Pool) give() {
+	p.mu.Lock()
+	p.free++
+	p.mu.Unlock()
+	p.freed.Signal()
+}
+
+// chunkSize is For's chunk length: ~8 chunks per worker leave slack
+// for uneven item costs, and [1, 32] bounds both cursor contention and
+// the tail one chunk can hold.
+func chunkSize(n, width int) int {
+	return min(max((n+8*width-1)/(8*width), 1), 32)
 }

@@ -413,6 +413,10 @@ func (c Config) params() quant.Params {
 		CellBits: c.CellBits, DACBits: c.DACBits}
 }
 
+// maxIndexBits is the widest input-index code the delta encoder
+// (internal/index) accepts.
+const maxIndexBits = 30
+
 // Validate reports configuration problems.
 func (c Config) Validate() error {
 	if err := c.geometry().Validate(); err != nil {
@@ -424,6 +428,10 @@ func (c Config) Validate() error {
 	if c.CellBits > 0 && (c.SliceCap < 0 || c.SliceCap > c.WeightBits/c.CellBits) {
 		return fmt.Errorf("sre: slice cap %d outside [0, %d] (weight bits / cell bits)",
 			c.SliceCap, c.WeightBits/c.CellBits)
+	}
+	if c.IndexBits < 0 || c.IndexBits > maxIndexBits {
+		return fmt.Errorf("sre: index bits %d outside [0, %d] (0 = the network's Table 2 width)",
+			c.IndexBits, maxIndexBits)
 	}
 	return nil
 }
@@ -708,10 +716,12 @@ func OpenSnapshot(path string, opts ...Option) (*Network, error) {
 		return nil, fmt.Errorf("sre: snapshot %s has a design point Config cannot represent (%+v)", path, k.Geom)
 	}
 	s := settings{cfg: cfg, style: style}.apply(opts)
-	if s.cfg.geometry() != k.Geom || s.cfg.params() != k.Quant ||
-		s.cfg.Seed != k.Seed || s.style != style || s.cfg.SliceCap != k.Spec.SliceCap {
+	if !s.keepsBuildPoint(cfg, style) {
 		return nil, fmt.Errorf(
-			"sre: option would change the snapshot's build point (geometry, precision, seed, or prune style); rebuild with Load/Build instead")
+			"sre: option would change the snapshot's build point (%s); rebuild with Load/Build instead", buildPointKnobs)
+	}
+	if err := s.cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Network{name: k.Spec.Name, spec: k.Spec, built: built, cfg: s.cfg,
 		style: style, progress: s.progress, fromSnapshot: true}, nil
@@ -780,15 +790,29 @@ func (n *Network) RunContext(ctx context.Context, mode Mode, opts ...Option) (Re
 }
 
 // runSettings resolves per-run options against the build-time config,
-// rejecting any change that would invalidate the built structures.
+// rejecting any change that would invalidate the built structures and
+// any run config that does not validate.
 func (n *Network) runSettings(opts []Option) (settings, error) {
 	s := settings{cfg: n.cfg, style: n.style, progress: n.progress}.apply(opts)
-	if s.cfg.geometry() != n.cfg.geometry() || s.cfg.params() != n.cfg.params() ||
-		s.cfg.Seed != n.cfg.Seed || s.style != n.style {
+	if !s.keepsBuildPoint(n.cfg, n.style) {
 		return settings{}, fmt.Errorf(
-			"sre: run option would change the built network (geometry, precision, seed, or prune style); pass it to Load/Build instead")
+			"sre: run option would change the built network (%s); pass it to Load/Build instead", buildPointKnobs)
+	}
+	if err := s.cfg.Validate(); err != nil {
+		return settings{}, err
 	}
 	return s, nil
+}
+
+// buildPointKnobs names what keepsBuildPoint compares, for its callers'
+// errors.
+const buildPointKnobs = "geometry, precision, seed, prune style, or slice cap"
+
+// keepsBuildPoint reports whether s leaves the build point of a network
+// built at cfg with the given prune style unchanged.
+func (s settings) keepsBuildPoint(cfg Config, style PruneStyle) bool {
+	return s.cfg.geometry() == cfg.geometry() && s.cfg.params() == cfg.params() &&
+		s.cfg.Seed == cfg.Seed && s.style == style && s.cfg.SliceCap == cfg.SliceCap
 }
 
 // coreConfig is the simulator configuration of one run: this network's

@@ -127,8 +127,12 @@ func TestRunRejectsBuildScopedOptions(t *testing.T) {
 		"WithCellBits": WithCellBits(4),
 		"WithSeed":     WithSeed(99),
 		"WithPrune":    WithPrune(GSL),
+		"WithSliceCap": WithSliceCap(2),
+		// Not build-scoped, but past the index encoder's 30 bits.
+		"WithIndexBits(31)": WithIndexBits(31),
+		"WithIndexBits(-1)": WithIndexBits(-1),
 	} {
-		if _, err := net.RunContext(ctx, Baseline, opt); err == nil {
+		if _, err := net.RunContext(ctx, ORC, opt); err == nil {
 			t.Errorf("%s accepted at run time", name)
 		}
 	}

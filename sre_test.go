@@ -41,6 +41,18 @@ func TestConfigValidate(t *testing.T) {
 	if _, err := Load("MNIST", WithConfig(bad)); err == nil {
 		t.Fatal("Load accepted invalid config")
 	}
+	for _, bits := range []int{-1, 31, 64} {
+		bad = testConfig()
+		bad.IndexBits = bits
+		if bad.Validate() == nil {
+			t.Fatalf("accepted index bits %d", bits)
+		}
+	}
+	bad = testConfig()
+	bad.CrossbarSize = 1 << 30
+	if bad.Validate() == nil {
+		t.Fatal("accepted a 2^30 crossbar")
+	}
 }
 
 func TestModesRoundTrip(t *testing.T) {

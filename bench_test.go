@@ -135,7 +135,7 @@ func BenchmarkSimulateLayerORCDOF(b *testing.B) {
 // BenchmarkVGG16Sweep* run the full six-mode VGG-16 sweep — the hot
 // path the parallel engine exists for — at explicit worker widths.
 // With GOMAXPROCS≥4 the parallel variant should be ≥3× the serial one
-// (dynamic window sharding over the shared code planes rebalances the
+// (chunk-claimed windows over the shared mask planes rebalance the
 // skewed per-window DOF costs); both produce bit-identical results
 // (see TestSerialParallelBitIdentical).
 

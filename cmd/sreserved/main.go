@@ -1,7 +1,7 @@
 // Command sreserved is the resident simulation service: a long-lived
 // HTTP/JSON daemon that keeps built networks in memory and serves
 // simulation requests against them, amortizing workload synthesis and
-// the simulator's plan/window-code caches across every request that
+// the simulator's plan/slice-mask caches across every request that
 // shares a design point.
 //
 // Usage:

@@ -24,15 +24,19 @@ import (
 // group plane — the backing size AppendPlanes produces and
 // NewStructureFromPlanes expects.
 func (s *Structure) PlaneWords() int {
-	lay := s.Layout
-	words := 0
-	for rb := 0; rb < lay.RowBlocks; rb++ {
-		w := bitset.Words64(lay.TileRows(rb))
-		for cb := 0; cb < lay.ColBlocks; cb++ {
-			words += w * lay.GroupsInTile(cb)
-		}
-	}
-	return words
+	rowWords, groups := planeShape(s.Layout)
+	return rowWords * groups
+}
+
+// planeShape factors a group plane over lay: every (row block, column
+// group) holds one Words64(TileRows(rb))-word mask, so the plane is
+// the row blocks' summed words times the column blocks' summed groups
+// long. Only the last block of either kind can be partial.
+func planeShape(lay mapping.Layout) (rowWords, groups int) {
+	lastR, lastC := lay.RowBlocks-1, lay.ColBlocks-1
+	rowWords = lastR*bitset.Words64(lay.XbarRows) + bitset.Words64(lay.TileRows(lastR))
+	groups = lastC*xmath.CeilDiv(lay.XbarCols, lay.SBL) + lay.GroupsInTile(lastC)
+	return rowWords, groups
 }
 
 // AppendPlanes appends every group's non-zero-row mask to dst in
@@ -98,23 +102,32 @@ func NewStructureFromPlanes(rows, cols int, p quant.Params, g mapping.Geometry, 
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("compress: non-positive matrix dims %dx%d", rows, cols)
 	}
-	layout := mapping.NewLayout(rows, cols, p, g)
-	s := &Structure{Layout: layout, P: p, nonZeroCells: nonZeroCells}
-	var err error
-	if s.groups, err = adoptGroupGrid(layout, planes); err != nil {
-		return nil, err
+	// Each group mask takes at least one word and covers at most 64 rows
+	// and SBL physical columns, so dims no plane of this length can
+	// cover are rejected before a layout or a group grid is sized from
+	// them; the exact length is checked against the layout next.
+	if rows > 64*len(planes) || cols > g.SBL*len(planes) {
+		return nil, fmt.Errorf("compress: a %d-word plane cannot hold a %dx%d matrix", len(planes), rows, cols)
 	}
-	if slicePlanes != nil {
-		if s.sliceGroups, err = adoptGroupGrid(layout, slicePlanes); err != nil {
-			return nil, err
+	layout := mapping.NewLayout(rows, cols, p, g)
+	rowWords, groups := planeShape(layout)
+	for _, pl := range [][]uint64{planes, slicePlanes} {
+		if pl != nil && (len(pl)%groups != 0 || len(pl)/groups != rowWords) {
+			return nil, fmt.Errorf("compress: plane has %d words, a %dx%d matrix needs %d·%d",
+				len(pl), rows, cols, rowWords, groups)
 		}
+	}
+	s := &Structure{Layout: layout, P: p, nonZeroCells: nonZeroCells,
+		groups: adoptGroupGrid(layout, planes)}
+	if slicePlanes != nil {
+		s.sliceGroups = adoptGroupGrid(layout, slicePlanes)
 	}
 	return s, nil
 }
 
 // adoptGroupGrid rebuilds one group grid zero-copy from its flattened
-// plane.
-func adoptGroupGrid(layout mapping.Layout, planes []uint64) ([][][]*bitset.Set, error) {
+// plane, whose length the caller has checked against the layout.
+func adoptGroupGrid(layout mapping.Layout, planes []uint64) [][][]*bitset.Set {
 	grid := make([][][]*bitset.Set, layout.RowBlocks)
 	off := 0
 	for rb := range grid {
@@ -124,19 +137,13 @@ func adoptGroupGrid(layout mapping.Layout, planes []uint64) ([][][]*bitset.Set, 
 		for cb := range grid[rb] {
 			gs := make([]*bitset.Set, layout.GroupsInTile(cb))
 			for gi := range gs {
-				if off+w > len(planes) {
-					return nil, fmt.Errorf("compress: plane too short: have %d words, need more at (rb=%d,cb=%d,g=%d)", len(planes), rb, cb, gi)
-				}
 				gs[gi] = bitset.FromWords(tileRows, planes[off:off+w:off+w])
 				off += w
 			}
 			grid[rb][cb] = gs
 		}
 	}
-	if off != len(planes) {
-		return nil, fmt.Errorf("compress: plane length mismatch: consumed %d of %d words", off, len(planes))
-	}
-	return grid, nil
+	return grid
 }
 
 // SeedPlanSet installs a pre-built plan set for (scheme, indexBits) in

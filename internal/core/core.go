@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"sre/internal/bitset"
@@ -338,11 +339,11 @@ type Layer struct {
 	Struct *compress.Structure
 	OCC    *compress.OCCStructure
 	Acts   ActivationSource
-	// Codes, when non-nil, caches the layer's sampled window codes so
-	// RunAll's modes (and repeated SimulateLayerContext calls) share one
-	// materialization instead of re-reading Acts per mode
-	// (workload.Build attaches one to every layer).
-	Codes *CodePlanes
+	// Masks, when non-nil, caches the slice masks of Acts' sampled
+	// windows so the DOF modes of a sweep (and repeated runs) share one
+	// build instead of re-reading Acts per run (workload.Build attaches
+	// one to every layer).
+	Masks *MaskPlanes
 	// OutputBits is the layer's output feature-map size; when the config
 	// carries an interconnect, handing it to the next layer's PEs costs
 	// NoC energy (overlapped with compute, so no latency).
@@ -403,8 +404,8 @@ func SimulateNetworkContext(ctx context.Context, layers []Layer, cfg Config) (Ne
 // Sources[i], when non-nil, replaces layer i's activation source and
 // must agree with it on the window count; a nil element — or a nil
 // Sources slice — keeps the layer's own Acts. Substituted sources
-// bypass the layer's code/mask plane caches (those hold the layer's
-// own activations), so they are read per window.
+// bypass the layer's mask-plane cache (it holds the layer's own
+// activations), so they are read per window.
 type BatchInput struct {
 	Sources []ActivationSource
 }
@@ -558,9 +559,9 @@ func validateModeLayer(l Layer, cfg Config) error {
 // simulateLayer is the layer engine. It runs the layer once per
 // activation source (sources[j] nil means the layer's own Acts; a single
 // run passes one nil) and returns the per-input results in order. One
-// prelude — validation, code- and mask-plane lookup, scratch, plans —
-// serves every input, and the run proceeds in three phases so that
-// parallel execution stays bit-identical to serial:
+// prelude — validation, scratch, plans and, in a DOF mode, the
+// mask-plane lookup — serves every input, and the run proceeds in three
+// phases so that parallel execution stays bit-identical to serial:
 //
 //  1. per-window batch work — OU slots and driven wordlines per tile —
 //     computed by workers over the flattened (input, window) space
@@ -608,20 +609,6 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	msh := cfg.Metrics.Shard()
 	defer cfg.Metrics.Release(msh)
 
-	// Resolve the layer's shared window-code plane. Every mode performs
-	// the lookup — not just the DOF modes that read the codes — so the
-	// cache's hit/miss algebra is deterministic for a fixed workload:
-	// misses == builds == distinct sampled counts, hits == lookups −
-	// builds, regardless of mode order.
-	var plane []uint32
-	if l.Codes != nil {
-		plane = l.Codes.plane(l.Acts, lay.Rows, sampled, windows, codeCacheMetrics{
-			hits:   msh.Counter("sre_core_code_cache_hits_total"),
-			misses: msh.Counter("sre_core_code_cache_misses_total"),
-			builds: msh.Counter("sre_core_code_cache_builds_total"),
-			bytes:  msh.Counter("sre_core_code_cache_bytes_total"),
-		})
-	}
 	ls := getLayerScratch(arenaMetrics{
 		gets: msh.Counter(`sre_core_arena_gets_total{arena="layer"}`),
 		news: msh.Counter(`sre_core_arena_news_total{arena="layer"}`),
@@ -639,26 +626,26 @@ func simulateLayer(ctx context.Context, l Layer, cfg Config, pool *parallel.Pool
 	n := 1
 	var work []batchWork // indexed [(input·sampled + window)·nTiles + tile]
 	if cfg.Mode.DOF {
-		// Resolve the derived slice-mask plane (maskplane.go): when the
-		// code plane is cached, the per-window BuildSliceMasks sweep is
-		// shared across DOF modes and repeated runs the same way.
-		// Without one (size bound, no code plane) phase 1 builds each
-		// window's masks in its scratch.
+		// The layer's cached slice-mask plane (maskplane.go) serves the
+		// inputs bound to its own source, so it is looked up only when
+		// one is; substituted sources, and every input when the plane is
+		// past its bound, build each window's masks in phase 1's scratch.
+		own := slices.ContainsFunc(sources, func(src ActivationSource) bool {
+			return src == nil || src == l.Acts
+		})
 		var mp *maskPlane
-		if plane != nil {
-			mp = l.Codes.maskPlane(plane, lay, sampled, cfg.Quant.DACBits, spi, maskCacheMetrics{
+		if own && l.Masks != nil {
+			mp = l.Masks.maskPlane(l.Acts, lay, sampled, windows, cfg.Quant.DACBits, spi, maskCacheMetrics{
 				hits:   msh.Counter("sre_core_mask_cache_hits_total"),
 				misses: msh.Counter("sre_core_mask_cache_misses_total"),
 				builds: msh.Counter("sre_core_mask_cache_builds_total"),
 				bytes:  msh.Counter("sre_core_mask_cache_bytes_total"),
 			})
 		}
-		// The layer's cached planes serve the inputs bound to its own
-		// source; substituted sources are read per window.
 		n = len(sources)
 		inputs := make([]p1Input, n)
 		for j, src := range sources {
-			inputs[j] = p1Input{plane: plane, mp: mp, acts: l.Acts}
+			inputs[j] = p1Input{mp: mp, acts: l.Acts}
 			if src != nil && src != l.Acts {
 				inputs[j] = p1Input{acts: src}
 			}
@@ -846,12 +833,11 @@ func phase3Reduce(l Layer, cfg Config, accs []tileAcc, windows, sampled int, msh
 }
 
 // p1Input is one activation input's phase-1 view: its cached
-// slice-mask plane (mp), else its cached code plane (plane), else its
-// source (acts). A run passes one per input.
+// slice-mask plane (mp), else its source (acts), read per window. A
+// run passes one per input.
 type p1Input struct {
-	plane []uint32
-	mp    *maskPlane
-	acts  ActivationSource
+	mp   *maskPlane
+	acts ActivationSource
 }
 
 // kernelPhase1 returns the word-plane phase-1 chunk body over the
@@ -859,10 +845,9 @@ type p1Input struct {
 // a single run passes one input, so idx is the window index). Each
 // window's activation bit-slice masks come from a mask plane: the
 // input's cached one, or the chunk's one-window scratch plane, built
-// from the cached codes or a source read (maskPlane.build). Phase 1
-// then makes one fused bitset.TileOUs call per (window, tile), which
-// sums the OUs and driven wordlines over all slices and column groups
-// at once. A metered run (msh non-nil) also has that call tally the
+// from a source read (maskPlane.build). Phase 1 then makes one fused
+// bitset.TileOUs call per (window, tile), which sums the OUs and
+// driven wordlines over all slices and column groups at once. A metered run (msh non-nil) also has that call tally the
 // fill classes of the partial OUs, and records the chunk's occupancy
 // histogram from the tally once per chunk. Baseline-scheme plans are
 // virtualized (every group drives the slice's rows), so that scheme
@@ -905,14 +890,9 @@ func kernelPhase1(ctx context.Context, l Layer, cfg Config, plans [][]tilePlan,
 			in := &inputs[ji]
 			mp, slot := in.mp, wi
 			if mp == nil {
-				codes := scr.codes
-				if in.plane != nil {
-					codes = in.plane[wi*lay.Rows : (wi+1)*lay.Rows]
-				} else {
-					in.acts.WindowCodes(wi*windows/sampled, codes)
-				}
+				in.acts.WindowCodes(wi*windows/sampled, scr.codes)
 				mp, slot = scr.mp, 0
-				mp.build(slot, codes, lay, cfg.Quant.DACBits, scr.heads)
+				mp.build(slot, scr.codes, lay, cfg.Quant.DACBits, scr.heads)
 			}
 			for rb := range plans {
 				// The row block's slice masks, slice s at s·maxWords. ne,

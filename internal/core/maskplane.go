@@ -1,15 +1,17 @@
-// Slice-mask plane cache: the second derivation layer on top of the
-// window-code planes. DOF-mode phase 1 turns each sampled window's
-// codes into per-(row block, bit slice) wordline masks
-// (bitset.BuildSliceMasks) before counting OU occupancy — work that is
-// identical across the DOF modes of one sweep and across repeated runs
-// of a resident network. A CodePlanes therefore also caches the
-// derived masks: one contiguous word plane per (sampled count, DAC
-// width, slices per input) holding every window's masks and its
-// per-(window, row block) non-empty-slice bitmaps, built once under
-// sync.Once from the code plane and read lock-free ever after.
+// Slice-mask plane cache: a layer's only activation cache. DOF-mode
+// phase 1 turns each sampled window's codes into per-(row block, bit
+// slice) wordline masks (bitset.BuildSliceMasks) — the vectors the
+// paper's Wordline Vector Generator (Fig. 15) drives — before counting
+// OU occupancy. That work is identical across the DOF modes of one
+// sweep and across repeated runs of a resident network, so a Layer
+// that carries a MaskPlanes caches it: one contiguous word plane per
+// (sampled count, DAC width, slices per input) holding every window's
+// masks and its per-(window, row block) non-empty-slice bitmaps, built
+// once under sync.Once straight from the layer's own source and read
+// lock-free ever after.
 //
-// A window without a cached plane builds its masks into a one-window
+// A window without a cached plane (no cache, a plane past the size
+// bound, or a substituted source) builds its masks into a one-window
 // plane in phase 1's scratch with the same maskPlane.build, so
 // phase-1 results are bit-identical with the cache or without it
 // (golden tests enforce this through the cached-vs-uncached
@@ -18,6 +20,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sre/internal/bitset"
 	"sre/internal/mapping"
@@ -29,11 +32,47 @@ import (
 // reads the window, which those runs paid before the cache existed.
 const maxCachedMaskWords = 8 << 20
 
-// maskKey identifies one derived mask plane. The layout is fixed per
-// Layer (it comes from the compression structure), so only the
-// run-variable inputs key the entry: the sampled-window count selects
-// which code plane the masks derive from, and the quantization pair
-// (DACBits, SlicesPerInput) selects how codes split into slices.
+// MaskPlanes caches a layer's slice-mask planes. Like compress.PlanSet,
+// entries are created under a mutex and built once via sync.Once, so
+// concurrent modes racing for a key build it exactly once and read it
+// lock-free afterwards. Planes are read-only after build.
+type MaskPlanes struct {
+	mu    sync.Mutex
+	masks map[maskKey]*maskPlaneEntry
+	// resident tracks the bytes of every plane built so far, so a
+	// holder can account the cache's memory without racing the lazy
+	// builds.
+	resident atomic.Int64
+}
+
+// NewMaskPlanes returns an empty cache ready to attach to a Layer.
+func NewMaskPlanes() *MaskPlanes { return &MaskPlanes{} }
+
+// ResidentBytes returns the bytes of all planes currently cached. It
+// grows as runs lazily build planes and never shrinks; the serve-layer
+// registry folds it into its per-network size estimate.
+func (c *MaskPlanes) ResidentBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.resident.Load()
+}
+
+// SampledWindows returns how many of a layer's windows a run with the
+// given cap actually simulates — the deterministic sampling rule of
+// the simulator.
+func SampledWindows(windows, maxWindows int) int {
+	if maxWindows > 0 && windows > maxWindows {
+		return maxWindows
+	}
+	return windows
+}
+
+// maskKey identifies one mask plane. The layout is fixed per Layer (it
+// comes from the compression structure), so only the run-variable
+// inputs key the entry: the sampled-window count selects which windows
+// the plane holds, and the quantization pair (DACBits, SlicesPerInput)
+// selects how codes split into slices.
 type maskKey struct {
 	sampled, dacBits, spi int
 }
@@ -87,21 +126,21 @@ func (mp *maskPlane) build(slot int, codes []uint32, lay mapping.Layout, dacBits
 }
 
 // maskCacheMetrics carries the mask-cache observability counters
-// (nil-safe). The algebra mirrors the code cache's: for a fixed
-// workload, misses == builds == distinct (sampled, quant) keys and
-// hits == DOF-mode lookups − builds, deterministically.
+// (nil-safe). For a fixed workload, misses == builds == distinct
+// (sampled, quant) keys and hits == lookups − builds,
+// deterministically.
 type maskCacheMetrics struct {
 	hits, misses, builds, bytes *metrics.Counter
 }
 
-// maskPlane returns the cached slice-mask plane derived from the
-// layer's code plane (which must hold sampled·lay.Rows codes), building
-// it on first use. Returns nil when the plane would exceed the size
-// bound; phase 1 then builds each window's masks in its scratch.
-func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacBits, spi int, m maskCacheMetrics) *maskPlane {
-	maxWords := bitset.Words64(lay.XbarRows)
-	total := sampled * lay.RowBlocks * spi * maxWords
-	if total == 0 || int64(total) > maxCachedMaskWords {
+// maskPlane returns the cached slice-mask plane of the layer's own
+// source src, building it on first use: each sampled window is read
+// into a local buffer in phase 1's wi·windows/sampled order and turned
+// into masks. Returns nil when the plane would exceed the size bound;
+// phase 1 then builds each window's masks in its scratch.
+func (c *MaskPlanes) maskPlane(src ActivationSource, lay mapping.Layout, sampled, windows, dacBits, spi int, m maskCacheMetrics) *maskPlane {
+	perWindow := lay.RowBlocks * spi * bitset.Words64(lay.XbarRows)
+	if perWindow == 0 || sampled == 0 || sampled > maxCachedMaskWords/perWindow {
 		return nil
 	}
 	key := maskKey{sampled, dacBits, spi}
@@ -122,8 +161,10 @@ func (c *CodePlanes) maskPlane(plane []uint32, lay mapping.Layout, sampled, dacB
 		m.builds.Inc()
 		mp := newMaskPlane(sampled, lay, spi)
 		heads := make([][]uint64, spi)
+		codes := make([]uint32, lay.Rows)
 		for wi := 0; wi < sampled; wi++ {
-			mp.build(wi, plane[wi*lay.Rows:(wi+1)*lay.Rows], lay, dacBits, heads)
+			src.WindowCodes(wi*windows/sampled, codes)
+			mp.build(wi, codes, lay, dacBits, heads)
 		}
 		e.mp = mp
 		size := int64(len(mp.words)+len(mp.nonEmpty)) * 8

@@ -8,7 +8,6 @@ import (
 	"sre/internal/chip"
 	"sre/internal/compress"
 	"sre/internal/core"
-	"sre/internal/energy"
 	"sre/internal/mapping"
 	"sre/internal/quant"
 	"sre/internal/workload"
@@ -101,11 +100,8 @@ func AblationOCC(opt Options) (*Table, error) {
 		}
 		res := make([]core.NetworkResult, 4)
 		for i, m := range []core.Mode{core.ModeBaseline, core.ModeORC, core.ModeOCC, core.ModeORCDOF} {
-			res[i], err = core.SimulateNetworkContext(context.Background(), layers, core.Config{
-				Geometry: g, Quant: p, Mode: m, IndexBits: spec.IndexBits,
-				MaxWindows: opt.MaxWindows, Workers: opt.Workers,
-				Energy: energy.Default(),
-			})
+			res[i], err = core.SimulateNetworkContext(context.Background(), layers,
+				coreConfig(m, p, g, spec.IndexBits, opt))
 			if err != nil {
 				return nil, err
 			}
@@ -157,9 +153,8 @@ func AblationBuffer(opt Options) (*Table, error) {
 	for _, mode := range []core.Mode{core.ModeORCDOF, core.ModeDOF} {
 		var baseCycles int64
 		for i, bc := range buffers {
-			cfg := core.Config{Geometry: g, Quant: p, Mode: mode,
-				IndexBits: spec.IndexBits, MaxWindows: opt.MaxWindows,
-				Workers: opt.Workers, Energy: energy.Default(), Buffer: bc.cfg}
+			cfg := coreConfig(mode, p, g, spec.IndexBits, opt)
+			cfg.Buffer = bc.cfg
 			res, err := core.SimulateNetworkContext(context.Background(), b.Layers, cfg)
 			if err != nil {
 				return nil, err

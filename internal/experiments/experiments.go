@@ -18,7 +18,6 @@ import (
 	"sre/internal/textplot"
 
 	"sre/internal/core"
-	"sre/internal/energy"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
 	"sre/internal/parallel"
@@ -159,6 +158,9 @@ func Run(id string, opt Options) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
+	if opt.MaxWindows < 0 {
+		return nil, fmt.Errorf("experiments: max windows %d is negative (0 = every window)", opt.MaxWindows)
+	}
 	return r(opt)
 }
 
@@ -202,8 +204,7 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	var err error
 	if opt.SnapshotDir != "" {
 		b, _, err = snapshot.LoadOrBuild(opt.SnapshotDir,
-			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed},
-			snapshot.WriteOptions{MaxWindows: opt.MaxWindows, IndexBits: spec.IndexBits})
+			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed})
 	} else {
 		b, err = spec.Build(mode, p, g, opt.Seed)
 	}
@@ -229,18 +230,20 @@ func simulate(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geome
 
 // simulateOn is simulate drawing from a shared pool (nil = own pool).
 func simulateOn(b *workload.Built, mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options, pool *parallel.Pool) (core.NetworkResult, error) {
-	cfg := core.Config{
-		Geometry:   g,
-		Quant:      p,
-		Mode:       mode,
-		IndexBits:  indexBits,
-		MaxWindows: opt.MaxWindows,
-		Workers:    opt.Workers,
-		Pool:       pool,
-		Energy:     energy.Default(),
-		Metrics:    opt.Metrics,
-	}
+	cfg := coreConfig(mode, p, g, indexBits, opt)
+	cfg.Pool = pool
 	return core.SimulateNetworkContext(context.Background(), b.Layers, cfg)
+}
+
+// coreConfig is the simulator configuration of every experiment run:
+// core.DefaultConfig's energy and interconnect models, the same the
+// library's runs use, at the given design point, mode and index width,
+// with opt's sampling, workers and metrics.
+func coreConfig(mode core.Mode, p quant.Params, g mapping.Geometry, indexBits int, opt Options) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Geometry, cfg.Quant, cfg.Mode, cfg.IndexBits = g, p, mode, indexBits
+	cfg.MaxWindows, cfg.Workers, cfg.Metrics = opt.MaxWindows, opt.Workers, opt.Metrics
+	return cfg
 }
 
 // sslModes are the Fig. 17/18 comparison set, baseline first.

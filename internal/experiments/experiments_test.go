@@ -9,7 +9,12 @@ import (
 	"strings"
 	"testing"
 
+	"sre"
+	"sre/internal/core"
+	"sre/internal/mapping"
 	"sre/internal/metrics"
+	"sre/internal/quant"
+	"sre/internal/workload"
 )
 
 // quick returns fast options for CI-grade runs.
@@ -28,6 +33,11 @@ func TestIDsOrderedAndComplete(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if _, err := Run("fig99", quick()); err == nil {
 		t.Fatal("accepted unknown experiment")
+	}
+	bad := quick()
+	bad.MaxWindows = -1
+	if _, err := Run("fig17", bad); err == nil {
+		t.Fatal("accepted a negative window cap")
 	}
 }
 
@@ -273,6 +283,50 @@ func TestGoldenConstantTables(t *testing.T) {
 		}
 		if got != string(want) {
 			t.Fatalf("%s drifted from golden.\n-- got --\n%s\n-- want --\n%s", id, got, want)
+		}
+	}
+}
+
+// TestORCDOFMatchesLibrary pins that the experiments run the library's
+// simulator configuration: MNIST's orc+dof result, built and simulated
+// the way every figure does it, equals sre.Load("MNIST")'s
+// Run(ORCDOF) field for field — cycles, time, and every energy
+// component including the interconnect's, per layer and in total.
+func TestORCDOFMatchesLibrary(t *testing.T) {
+	opt := DefaultOptions()
+	spec, err := workload.SpecByName("MNIST")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, g := quant.Default(), mapping.Default()
+	b, err := build(spec, workload.SSL, p, g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := simulate(b, core.ModeORCDOF, p, g, spec.IndexBits, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := sre.Load("MNIST", sre.WithSeed(opt.Seed), sre.WithMaxWindows(opt.MaxWindows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := net.Run(sre.ORCDOF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Energy.Interconnect == 0 {
+		t.Fatal("experiments' orc+dof energy leaves the interconnect out")
+	}
+	if got.Cycles != want.Cycles || got.Time != want.Seconds || sre.Breakdown(got.Energy) != want.Energy ||
+		len(got.Layers) != len(want.Layers) {
+		t.Fatalf("experiments orc+dof %d cycles, %v s, %+v; library %d cycles, %v s, %+v",
+			got.Cycles, got.Time, got.Energy, want.Cycles, want.Seconds, want.Energy)
+	}
+	for i, lr := range got.Layers {
+		w := want.Layers[i]
+		if lr.Name != w.Name || lr.Cycles != w.Cycles || lr.Time != w.Seconds || sre.Breakdown(lr.Energy) != w.Energy {
+			t.Fatalf("layer %d: experiments %+v, library %+v", i, lr, w)
 		}
 	}
 }

@@ -21,7 +21,7 @@
 //     running loop bodies, and those never wait on a lender. That holds
 //     while no sync.Once body or held lock calls For on the same pool:
 //     a body blocked on that lock would wait on a lender. The
-//     simulator's are serial — CodePlanes.plane, CodePlanes.maskPlane,
+//     simulator's are serial — MaskPlanes.maskPlane,
 //     Structure.PlanSetMetered and the progress lock of
 //     SimulateNetworkBatchContext — and must stay so.
 //   - Cancellation. No chunk is claimed once ctx is cancelled (chunks

@@ -4,7 +4,7 @@
 // holds the first such request for a short coalescing window, merges
 // the mode sets — and the activation seeds — of every request that
 // arrives meanwhile, runs the union as a single sweep (one pass over
-// the shared window-code planes and plan caches instead of one per
+// the shared slice-mask planes and plan caches instead of one per
 // request), and fans the per-(seed, mode) results back out to each
 // waiter. Requests that differ only in their activation seed still
 // coalesce: the union runs as one batched multi-activation sweep

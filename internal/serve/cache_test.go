@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -67,6 +68,36 @@ func TestCachedRepeatBitIdenticalNoSweep(t *testing.T) {
 	}
 	if vals["sre_serve_result_cache_bytes"] <= 0 {
 		t.Error("result_cache_bytes gauge never moved")
+	}
+}
+
+// TestBuildSeedActSeedSharesOwnCell proves act_seed equal to the build
+// seed names the network's own activations, as act_seed 0 does: after
+// an act_seed 0 request, the same request with act_seed 1 (the default
+// build seed) is answered from the cache, bit-identical, with one
+// sweep in total.
+func TestBuildSeedActSeedSharesOwnCell(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	req := `{"network":"MNIST","modes":["baseline","orc+dof"],"config":{"max_windows":6},"act_seed":%d}`
+	var resps []SimulateResponse
+	for _, seed := range []uint64{0, sre.DefaultConfig().Seed} {
+		status, body := postSimulate(t, ts.URL, fmt.Sprintf(req, seed))
+		if status != http.StatusOK {
+			t.Fatalf("act_seed %d: status %d: %s", seed, status, body)
+		}
+		resps = append(resps, decodeSimulate(t, body))
+	}
+	if resps[0].Cached || !resps[1].Cached {
+		t.Fatalf("cached = %v, %v; want false, then true", resps[0].Cached, resps[1].Cached)
+	}
+	if !reflect.DeepEqual(resps[0].Results, resps[1].Results) {
+		t.Fatal("build-seed act_seed results differ from act_seed 0's")
+	}
+	if got := parseProm(t, promBody(t, ts.URL))["sre_serve_sweeps_total"]; got != 1 {
+		t.Errorf("sweeps_total = %v, want 1", got)
 	}
 }
 

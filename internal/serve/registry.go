@@ -30,9 +30,8 @@ import (
 )
 
 // Key identifies one resident network: the build-scoped part of a
-// request. Run-scoped knobs (MaxWindows, IndexBits, workers, code
-// cache) are per-run options on the shared instance and do not fork a
-// new build.
+// request. Run-scoped knobs (MaxWindows, IndexBits, workers) are
+// per-run options on the shared instance and do not fork a new build.
 type Key struct {
 	Network        string
 	Prune          sre.PruneStyle

@@ -4,7 +4,7 @@
 // requests (admission.go), coalesces same-key requests into shared
 // sweeps (batcher.go), and drains gracefully on shutdown. One process
 // amortizes Load's workload synthesis and the simulator's plan and
-// window-code caches across every request that hits the same design
+// slice-mask caches across every request that hits the same design
 // point — the serving shape ReRAM accelerator stacks assume, where the
 // compressed structures are built once and reused.
 package serve
@@ -193,10 +193,12 @@ type SimulateRequest struct {
 	Modes []string `json:"modes,omitempty"`
 	// Config overrides individual fields of the default design point.
 	Config ConfigOverrides `json:"config"`
-	// ActSeed, when non-zero, re-derives the network's activations from
-	// this seed (same statistics, independent random stream; weights
-	// and compression structures unchanged). Requests that differ only
-	// in act_seed coalesce into one batched multi-activation sweep.
+	// ActSeed, when non-zero and not the build seed, re-derives the
+	// network's activations from this seed (same statistics,
+	// independent random stream; weights and compression structures
+	// unchanged). Zero and the build seed both select the network's own
+	// activations and share their cached results. Requests that differ
+	// only in act_seed coalesce into one batched multi-activation sweep.
 	ActSeed uint64 `json:"act_seed,omitempty"`
 	// TimeoutMillis is the per-request deadline; 0 means the server
 	// default. The deadline propagates into the simulation via context
@@ -359,7 +361,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	results, size, cached, err := s.batcher.Do(ctx, batchKey, modes, req.ActSeed)
+	// The build seed selects the network's own activations, as 0 does,
+	// so both share one batch seed and one cache cell.
+	actSeed := req.ActSeed
+	if actSeed == key.Seed {
+		actSeed = 0
+	}
+	results, size, cached, err := s.batcher.Do(ctx, batchKey, modes, actSeed)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()

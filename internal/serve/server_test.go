@@ -197,6 +197,7 @@ func TestSimulateRequestValidation(t *testing.T) {
 		{`{"network":"MNIST","mode":"orc","config":{"index_bits":31}}`, http.StatusBadRequest},   // past the encoder's 30
 		{`{"network":"MNIST","mode":"orc","config":{"index_bits":-1}}`, http.StatusBadRequest},
 		{`{"network":"MNIST","mode":"orc+dof","config":{"crossbar":1073741824}}`, http.StatusBadRequest}, // 2^30 rows of scratch
+		{`{"network":"MNIST","mode":"orc+dof","config":{"max_windows":-1}}`, http.StatusBadRequest},      // 0 means every window
 		{`not json`, http.StatusBadRequest},
 		// A body past the 1 MiB bound is refused before admission.
 		{`{"network":"MNIST","mode":"orc","prune":"` + strings.Repeat("x", 1<<20) + `"}`, http.StatusRequestEntityTooLarge},

@@ -1,15 +1,15 @@
 // Package snapshot persists built networks: everything workload.Build
 // produces — prune-derived compression structures (as contiguous
-// little-endian word planes), per-layer ORC plan sets, window-code
-// planes, activation-source parameters, and layer stats — in one
-// versioned binary artifact that loads in a single read. It is the
-// serializable representation behind sre.(*Network).WriteTo and
-// sre.OpenSnapshot, and the build cache behind sre.WithSnapshotDir.
+// little-endian word planes), per-layer ORC plan sets, activation-source
+// parameters, and layer stats — in one versioned binary artifact that
+// loads in a single read. It is the serializable representation behind
+// sre.(*Network).WriteTo and sre.OpenSnapshot, and the build cache
+// behind sre.WithSnapshotDir.
 //
 // File layout (all integers little-endian):
 //
 //	[ 0, 8)  magic "SRESNAP\x00"
-//	[ 8,12)  u32 format version (currently 2)
+//	[ 8,12)  u32 format version (currently 3)
 //	[12,16)  u32 meta length in bytes
 //	[16,24)  u64 payload length in bytes
 //	[24,32)  u64 CRC-64/ECMA of the meta JSON
@@ -21,19 +21,21 @@
 // (network spec, prune mode, quantization, geometry, seed) and nothing
 // derived, so it is computable before building — that is what lets a
 // snapshot directory be consulted by hash prior to paying for a build,
-// and shared across replicas and CI. The payload is the concatenation,
-// layer by layer, of the structure word plane ([]u64), the weight-slice
-// group plane ([]u64, format 2 — what the WSS modes plan over), an
-// optional ORC plan-set section, and an optional window-code plane
-// ([]u32); each section's size is recorded in the meta, so decoding is
-// pure slicing and the group bitsets adopt sub-slices of one backing
-// array without copying.
+// and shared across replicas and CI. Everything written is a function
+// of the key alone, so equal keys give byte-identical files. The
+// payload is the concatenation, layer by layer, of the structure word
+// plane ([]u64), the weight-slice group plane ([]u64, format 2 — what
+// the WSS modes plan over) and an optional ORC plan-set section at the
+// spec's Table 2 index width; each section's size is recorded in the
+// meta, so decoding is pure slicing and the group bitsets adopt
+// sub-slices of one backing array without copying.
 //
 // Decoding fails loudly: a bad magic, an unsupported version, a length
-// or checksum that does not line up, or a meta whose recomputed content
-// hash differs from the header's all return named errors (ErrBadMagic,
-// ErrVersion, ErrCorrupt, ErrHashMismatch) — never a silently rebuilt
-// or partially loaded network.
+// or checksum that does not line up, a meta whose recomputed content
+// hash differs from the header's, or section sizes the payload cannot
+// hold all return named errors (ErrBadMagic, ErrVersion, ErrCorrupt,
+// ErrHashMismatch) — never a panic, a size-driven allocation, or a
+// silently rebuilt or partially loaded network.
 package snapshot
 
 import (
@@ -62,8 +64,10 @@ import (
 // incompatible layout change; it participates in the content hash, so
 // old snapshots are never matched by hash, and OpenSnapshot rejects
 // them with ErrVersion rather than misreading them. Version 2 added
-// the per-layer weight-slice plane section and Spec.SliceCap.
-const FormatVersion = 2
+// the per-layer weight-slice plane section and Spec.SliceCap; version 3
+// dropped the window-code plane section and the writer-chosen plan
+// index width, so a file's bytes depend only on its key.
+const FormatVersion = 3
 
 const (
 	magic      = "SRESNAP\x00"
@@ -168,25 +172,10 @@ func (k Key) HashHex() string {
 // this key under.
 func (k Key) FileName() string { return k.HashHex() + ".sresnap" }
 
-// WriteOptions tune which derived sections a written snapshot carries.
-// Both sections are warm-start accelerators: omitting them (or asking
-// for widths/caps that later runs don't use) costs nothing but a lazy
-// rebuild, never correctness.
-type WriteOptions struct {
-	// MaxWindows is the per-layer window sampling cap whose code plane
-	// is persisted (0 = all windows), normally the writer's build-config
-	// value.
-	MaxWindows int
-	// IndexBits is the input-index width the persisted ORC plan sets use
-	// (0 = the spec's Table 2 value) — the effective width sre resolves.
-	IndexBits int
-}
-
 // fileMeta is the JSON meta section.
 type fileMeta struct {
 	FormatVersion int
 	Key           keyMeta
-	PlanIndexBits int // index width of the persisted plan sections
 	Layers        []layerMeta
 }
 
@@ -215,7 +204,6 @@ type layerMeta struct {
 	PlaneWords    int // structure word-plane length (u64 words)
 	SliceWords    int // weight-slice plane length (u64 words, format 2)
 	PlanBytes     int // ORC plan-set section length (0 = absent)
-	CodeSampled   int // code-plane sampled-window count (0 = absent)
 }
 
 // actsMeta mirrors workload.SyntheticActs field for field.
@@ -230,22 +218,13 @@ type actsMeta struct {
 // returns the byte count written. Only networks whose activation
 // sources are workload.SyntheticActs serialize; anything else returns
 // an error naming the layer.
-func Write(w io.Writer, k Key, b *workload.Built, o WriteOptions) (int64, error) {
-	meta, payload, err := encodeBody(k, b, o)
+func Write(w io.Writer, k Key, b *workload.Built) (int64, error) {
+	meta, payload, err := encodeBody(k, b)
 	if err != nil {
 		return 0, err
 	}
-	hdr := make([]byte, headerSize)
-	copy(hdr, magic)
-	binary.LittleEndian.PutUint32(hdr[8:], FormatVersion)
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(meta)))
-	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[24:], crc64.Checksum(meta, crcTable))
-	binary.LittleEndian.PutUint64(hdr[32:], crc64.Checksum(payload, crcTable))
-	hash := k.Hash()
-	copy(hdr[40:], hash[:])
 	var n int64
-	for _, part := range [][]byte{hdr, meta, payload} {
+	for _, part := range [][]byte{sealHeader(k.Hash(), meta, payload), meta, payload} {
 		m, err := w.Write(part)
 		n += int64(m)
 		if err != nil {
@@ -255,16 +234,25 @@ func Write(w io.Writer, k Key, b *workload.Built, o WriteOptions) (int64, error)
 	return n, nil
 }
 
-func encodeBody(k Key, b *workload.Built, o WriteOptions) (meta, payload []byte, err error) {
-	effIdx := o.IndexBits
-	if effIdx <= 0 {
-		effIdx = k.Spec.IndexBits
-	}
+// sealHeader returns the fixed-size prologue of a file whose key hashes
+// to hash: the lengths and checksums of meta and payload.
+func sealHeader(hash [32]byte, meta, payload []byte) []byte {
+	hdr := make([]byte, headerSize)
+	copy(hdr, magic)
+	binary.LittleEndian.PutUint32(hdr[8:], FormatVersion)
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(meta)))
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(payload)))
+	binary.LittleEndian.PutUint64(hdr[24:], crc64.Checksum(meta, crcTable))
+	binary.LittleEndian.PutUint64(hdr[32:], crc64.Checksum(payload, crcTable))
+	copy(hdr[40:], hash[:])
+	return hdr
+}
+
+func encodeBody(k Key, b *workload.Built) (meta, payload []byte, err error) {
 	fm := fileMeta{
 		FormatVersion: FormatVersion,
 		Key: keyMeta{Spec: k.Spec, Prune: int(k.Prune), Quant: k.Quant,
 			Geom: k.Geom, Seed: k.Seed},
-		PlanIndexBits: effIdx,
 	}
 	if len(b.Stats) != len(b.Layers) {
 		return nil, nil, fmt.Errorf("snapshot: %d layers but %d stats entries", len(b.Layers), len(b.Stats))
@@ -302,28 +290,14 @@ func encodeBody(k Key, b *workload.Built, o WriteOptions) (meta, payload []byte,
 			binary.LittleEndian.PutUint64(word[:], wd)
 			payload = append(payload, word[:]...)
 		}
-		// ORC plan set — the expensive-to-derive section. Skipped when the
-		// geometry outgrows the u16 row encoding or the section the bound.
+		// ORC plan set at the spec's index width — the expensive-to-derive
+		// section. Skipped when the geometry outgrows the u16 row encoding
+		// or the section the bound.
 		if st.Layout.XbarRows <= 0xFFFF {
-			pb := compress.AppendPlanSet(nil, st.PlanSet(compress.ORC, effIdx))
+			pb := compress.AppendPlanSet(nil, st.PlanSet(compress.ORC, k.Spec.IndexBits))
 			if len(pb) <= maxPlanSectionBytes {
 				lm.PlanBytes = len(pb)
 				payload = append(payload, pb...)
-			}
-		}
-		// Window-code plane for the writer's sampling cap (nil when the
-		// plane exceeds the code cache's size bound — then it stays lazy
-		// after load too).
-		if l.Codes != nil {
-			windows := sa.Windows()
-			sampled := core.SampledWindows(windows, o.MaxWindows)
-			if plane := l.Codes.Materialize(sa, sa.Rows, sampled, windows); plane != nil {
-				lm.CodeSampled = sampled
-				var quad [4]byte
-				for _, c := range plane {
-					binary.LittleEndian.PutUint32(quad[:], c)
-					payload = append(payload, quad[:]...)
-				}
 			}
 		}
 		fm.Layers = append(fm.Layers, lm)
@@ -412,46 +386,47 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 	}
 	b := &workload.Built{Spec: k.Spec}
 	off := 0
+	// words decodes the layer's next n-word section. The count comes
+	// from the meta, so it is checked against the payload bytes left
+	// before anything is sized from it.
+	words := func(lm *layerMeta, n int) ([]uint64, error) {
+		if n < 0 || n > (len(payload)-off)/8 {
+			return nil, fmt.Errorf("%w: payload too short for layer %s", ErrCorrupt, lm.Name)
+		}
+		out := make([]uint64, n)
+		for j := range out {
+			out[j] = binary.LittleEndian.Uint64(payload[off:])
+			off += 8
+		}
+		return out, nil
+	}
 	for i := range fm.Layers {
 		lm := &fm.Layers[i]
-		if lm.Rows <= 0 || lm.Cols <= 0 || lm.PlaneWords < 0 || lm.SliceWords < 0 ||
-			lm.PlanBytes < 0 || lm.CodeSampled < 0 || lm.Acts.Rows != lm.Rows {
+		if lm.Rows <= 0 || lm.Cols <= 0 || lm.Acts.Rows != lm.Rows {
 			return zero, nil, fmt.Errorf("%w: layer %s has inconsistent meta", ErrCorrupt, lm.Name)
 		}
-		need := (lm.PlaneWords+lm.SliceWords)*8 + lm.PlanBytes + lm.CodeSampled*lm.Acts.Rows*4
-		if need < 0 || len(payload)-off < need {
-			return zero, nil, fmt.Errorf("%w: payload too short for layer %s", ErrCorrupt, lm.Name)
+		planes, err := words(lm, lm.PlaneWords)
+		if err != nil {
+			return zero, nil, err
 		}
-		planes := make([]uint64, lm.PlaneWords)
-		for j := range planes {
-			planes[j] = binary.LittleEndian.Uint64(payload[off:])
-			off += 8
-		}
-		slicePlanes := make([]uint64, lm.SliceWords)
-		for j := range slicePlanes {
-			slicePlanes[j] = binary.LittleEndian.Uint64(payload[off:])
-			off += 8
+		slicePlanes, err := words(lm, lm.SliceWords)
+		if err != nil {
+			return zero, nil, err
 		}
 		st, err := compress.NewStructureFromPlanes(lm.Rows, lm.Cols, k.Quant, k.Geom, planes, slicePlanes, lm.NonZeroCells)
 		if err != nil {
 			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
+		}
+		if lm.PlanBytes < 0 || lm.PlanBytes > len(payload)-off {
+			return zero, nil, fmt.Errorf("%w: payload too short for layer %s", ErrCorrupt, lm.Name)
 		}
 		if lm.PlanBytes > 0 {
 			ps, err := compress.DecodePlanSet(payload[off:off+lm.PlanBytes], st.Layout)
 			if err != nil {
 				return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
 			}
-			st.SeedPlanSet(compress.ORC, fm.PlanIndexBits, ps)
+			st.SeedPlanSet(compress.ORC, k.Spec.IndexBits, ps)
 			off += lm.PlanBytes
-		}
-		codes := core.NewCodePlanes()
-		if lm.CodeSampled > 0 {
-			plane := make([]uint32, lm.CodeSampled*lm.Acts.Rows)
-			for j := range plane {
-				plane[j] = binary.LittleEndian.Uint32(payload[off:])
-				off += 4
-			}
-			codes.Seed(lm.CodeSampled, lm.Acts.Rows, plane)
 		}
 		acts := &workload.SyntheticActs{
 			Rows: lm.Acts.Rows, NWindows: lm.Acts.NWindows,
@@ -460,7 +435,7 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 			ABits: lm.Acts.ABits, Seed: lm.Acts.Seed,
 		}
 		b.Layers = append(b.Layers, core.Layer{
-			Name: lm.Name, Struct: st, Acts: acts, Codes: codes,
+			Name: lm.Name, Struct: st, Acts: acts, Masks: core.NewMaskPlanes(),
 			OutputBits: lm.OutputBits, ParallelGroup: lm.ParallelGroup,
 		})
 		b.Stats = append(b.Stats, lm.Stats)
@@ -488,7 +463,7 @@ func ReadFile(path string) (Key, *workload.Built, error) {
 // WriteFile writes the snapshot atomically: a temp file in the target
 // directory, fsync-free rename into place, so concurrent readers and
 // racing writers only ever observe complete snapshots.
-func WriteFile(path string, k Key, b *workload.Built, o WriteOptions) error {
+func WriteFile(path string, k Key, b *workload.Built) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -497,7 +472,7 @@ func WriteFile(path string, k Key, b *workload.Built, o WriteOptions) error {
 	if err != nil {
 		return err
 	}
-	_, werr := Write(tmp, k, b, o)
+	_, werr := Write(tmp, k, b)
 	cerr := tmp.Close()
 	if werr == nil {
 		werr = cerr
@@ -520,7 +495,7 @@ func WriteFile(path string, k Key, b *workload.Built, o WriteOptions) error {
 // mismatch — is a loud error, never a silent rebuild: a shared
 // snapshot directory that has gone bad should be noticed, not
 // papered over.
-func LoadOrBuild(dir string, k Key, o WriteOptions) (*workload.Built, bool, error) {
+func LoadOrBuild(dir string, k Key) (*workload.Built, bool, error) {
 	path := filepath.Join(dir, k.FileName())
 	data, err := os.ReadFile(path)
 	switch {
@@ -542,7 +517,7 @@ func LoadOrBuild(dir string, k Key, o WriteOptions) (*workload.Built, bool, erro
 	if err != nil {
 		return nil, false, err
 	}
-	if err := WriteFile(path, k, b, o); err != nil {
+	if err := WriteFile(path, k, b); err != nil {
 		return nil, false, fmt.Errorf("snapshot: persisting %s: %w", path, err)
 	}
 	return b, false, nil

@@ -276,7 +276,7 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 		})
 		b.Layers = append(b.Layers, core.Layer{
 			Name: li.Path, Struct: st, Acts: s.syntheticActs(root, li, p.ABits),
-			Codes:         core.NewCodePlanes(),
+			Masks:         core.NewMaskPlanes(),
 			OutputBits:    int64(li.Windows) * int64(li.Cols) * int64(p.ABits),
 			ParallelGroup: li.ParallelGroup,
 		})

@@ -32,11 +32,9 @@ import (
 
 	"sre/internal/compress"
 	"sre/internal/core"
-	"sre/internal/energy"
 	"sre/internal/isaac"
 	"sre/internal/mapping"
 	"sre/internal/metrics"
-	"sre/internal/noc"
 	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/reram"
@@ -433,6 +431,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sre: index bits %d outside [0, %d] (0 = the network's Table 2 width)",
 			c.IndexBits, maxIndexBits)
 	}
+	if c.MaxWindows < 0 {
+		return fmt.Errorf("sre: max windows %d is negative (0 = every window)", c.MaxWindows)
+	}
 	return nil
 }
 
@@ -497,7 +498,7 @@ type Result struct {
 // Network is a built, simulator-ready model.
 //
 // Thread safety: a Network is immutable after construction — the built
-// layers, compression structures, and plan/code-plane caches are
+// layers, compression structures, and plan/mask-plane caches are
 // read-only or internally synchronized (sync.Once-per-key builds) — so
 // all Run methods are safe for unlimited concurrent use from multiple
 // goroutines, including overlapping RunContext/RunAllContext calls on
@@ -604,13 +605,7 @@ func buildNetwork(spec workload.Spec, s settings) (*Network, error) {
 	if s.snapshotDir != "" {
 		key := snapshot.Key{Spec: spec, Prune: mode, Quant: s.cfg.params(),
 			Geom: s.cfg.geometry(), Seed: s.cfg.Seed}
-		wopts := snapshot.WriteOptions{MaxWindows: s.cfg.MaxWindows}
-		if s.cfg.IndexBits > 0 {
-			wopts.IndexBits = s.cfg.IndexBits
-		} else {
-			wopts.IndexBits = spec.IndexBits
-		}
-		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key, wopts)
+		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key)
 		if err != nil {
 			return nil, err
 		}
@@ -668,14 +663,14 @@ var (
 )
 
 // WriteTo serializes the built network — compression structures, ORC
-// plan sets, window-code planes, activation parameters, and stats —
-// as one versioned snapshot (DESIGN.md §6) and returns the bytes
-// written. It implements io.WriterTo. The artifact is keyed by a
-// content hash of the build inputs, so OpenSnapshot restores a network
-// bit-identical to this one, and WithSnapshotDir can find it by
-// hashing the same inputs. Persisted derived sections use this
-// network's effective MaxWindows and index width; other run configs
-// still load fine and re-derive lazily.
+// plan sets, activation parameters, and stats — as one versioned
+// snapshot (DESIGN.md §6) and returns the bytes written. It implements
+// io.WriterTo. The artifact is keyed by a content hash of the build
+// inputs and its bytes depend on nothing else (not on the run settings
+// this network was loaded or run with), so OpenSnapshot restores a
+// network bit-identical to this one, and WithSnapshotDir can find it
+// by hashing the same inputs. The plan sets are persisted at the
+// network's Table 2 index width; other widths re-derive lazily.
 func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	mode, err := n.style.pruneMode()
 	if err != nil {
@@ -683,8 +678,7 @@ func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	}
 	k := snapshot.Key{Spec: n.spec, Prune: mode, Quant: n.cfg.params(),
 		Geom: n.cfg.geometry(), Seed: n.cfg.Seed}
-	return snapshot.Write(w, k, n.built,
-		snapshot.WriteOptions{MaxWindows: n.cfg.MaxWindows, IndexBits: n.indexBits()})
+	return snapshot.Write(w, k, n.built)
 }
 
 // OpenSnapshot loads a network from a snapshot file in one read,
@@ -737,9 +731,9 @@ func (n *Network) Name() string { return n.name }
 
 // SizeBytes estimates the resident memory a built network pins: the
 // per-layer compression structures' group masks (the bytes a snapshot
-// would persist) plus whatever window-code and slice-mask planes runs
-// have lazily cached so far, with a small fixed constant per layer for
-// activation sources and bookkeeping. The estimate is cheap (no
+// would persist) plus whatever slice-mask planes runs over the
+// network's own activations have lazily cached so far, with a small
+// fixed constant per layer for activation sources and bookkeeping. The estimate is cheap (no
 // allocation, a few loads per layer) and monotone — plane caches only
 // grow — so callers that account memory, like sreserved's byte-bounded
 // registry, can re-read it as the network warms up.
@@ -750,7 +744,7 @@ func (n *Network) SizeBytes() int64 {
 		if l.Struct != nil {
 			total += l.Struct.SizeBytes()
 		}
-		total += l.Codes.ResidentBytes()
+		total += l.Masks.ResidentBytes()
 		total += 1024
 	}
 	return total
@@ -815,22 +809,16 @@ func (s settings) keepsBuildPoint(cfg Config, style PruneStyle) bool {
 		s.cfg.Seed == cfg.Seed && s.style == style && s.cfg.SliceCap == cfg.SliceCap
 }
 
-// coreConfig is the simulator configuration of one run: this network's
-// build point and the run settings s, under core mode cm, drawing from
-// pool (nil: a pool of the run's worker width).
+// coreConfig is the simulator configuration of one run: core's default
+// energy and interconnect models at this network's build point and the
+// run settings s, under core mode cm, drawing from pool (nil: a pool of
+// the run's worker width).
 func (n *Network) coreConfig(s settings, cm core.Mode, pool *parallel.Pool) core.Config {
-	return core.Config{
-		Geometry:   n.cfg.geometry(),
-		Quant:      n.cfg.params(),
-		Mode:       cm,
-		IndexBits:  n.indexBitsFor(s.cfg),
-		MaxWindows: s.cfg.MaxWindows,
-		Workers:    s.cfg.Workers,
-		Pool:       pool,
-		Energy:     energy.Default(),
-		NoC:        noc.Default(),
-		Metrics:    s.metrics,
-	}
+	cfg := core.DefaultConfig()
+	cfg.Geometry, cfg.Quant, cfg.Mode = n.cfg.geometry(), n.cfg.params(), cm
+	cfg.IndexBits, cfg.MaxWindows = n.indexBitsFor(s.cfg), s.cfg.MaxWindows
+	cfg.Workers, cfg.Pool, cfg.Metrics = s.cfg.Workers, pool, s.metrics
+	return cfg
 }
 
 // results assembles the public Results of one simulated configuration,
@@ -929,14 +917,16 @@ func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) (
 // [set][mode]. Each Result is bit-identical to the same mode run alone
 // over this network with that set's activations substituted; the batch
 // shares everything activation-independent across sets — compression
-// plans, window-code and slice-mask planes, scratch arenas, and (for
-// the static modes, which never read activation values) the entire
-// simulation — so a coalesced sweep is sub-linear in the number of
-// sets. Modes run concurrently through one shared worker pool. Per-run
-// options follow RunContext's rules; WithProgress reports each mode's
-// layers once each, with the first set's LayerResult. Every other run
-// method is a batch of one set, and sreserved's micro-batcher runs its
-// coalesced requests through it.
+// plans, scratch arenas, and (for the static modes, which never read
+// activation values) the entire simulation — so a coalesced sweep is
+// sub-linear in the number of sets. Sets of the network's own
+// activations also share its cached slice-mask planes; variant seeds
+// read their sources per window and cache nothing. Modes run
+// concurrently through one shared worker pool. Per-run options follow
+// RunContext's rules; WithProgress reports each mode's layers once
+// each, with the first set's LayerResult. Every other run method is a
+// batch of one set, and sreserved's micro-batcher runs its coalesced
+// requests through it.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: a run needs at least one mode")

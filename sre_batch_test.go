@@ -15,7 +15,7 @@ import (
 
 // separateSweep runs one mode over the network with the given
 // activation seed substituted the long way — fresh layer copies, fresh
-// code-plane caches, a plain SimulateNetworkContext — the semantics
+// mask-plane caches, a plain SimulateNetworkContext — the semantics
 // RunBatchContext promises to be bit-identical to.
 func separateSweep(t *testing.T, net *Network, mode Mode, actSeed uint64, workers int) core.NetworkResult {
 	t.Helper()
@@ -25,7 +25,7 @@ func separateSweep(t *testing.T, net *Network, mode Mode, actSeed uint64, worker
 		srcs := net.spec.VariantSources(net.built.Layers, actSeed)
 		for i := range layers {
 			layers[i].Acts = srcs[i]
-			layers[i].Codes = core.NewCodePlanes()
+			layers[i].Masks = core.NewMaskPlanes()
 		}
 	}
 	cm, err := mode.coreMode()

@@ -1,6 +1,7 @@
 package sre
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -126,6 +127,51 @@ func TestWithSnapshotDir(t *testing.T) {
 	}
 	if other.SnapshotLoaded() {
 		t.Fatal("different seed hit the other seed's snapshot")
+	}
+}
+
+// TestSnapshotBytesDependOnlyOnKey proves a snapshot is content
+// addressed: one key written from networks loaded, run and re-written
+// at different run settings (sampling cap, index width, mode) gives
+// byte-identical files, through WithSnapshotDir and through WriteTo
+// alike.
+func TestSnapshotBytesDependOnlyOnKey(t *testing.T) {
+	settings := [][]Option{
+		{WithMaxWindows(12)},
+		{WithMaxWindows(48), WithIndexBits(4)},
+		{WithMaxWindows(0), WithIndexBits(7)},
+	}
+	var want []byte
+	for i, opts := range settings {
+		dir := t.TempDir()
+		net, err := Load("MNIST", append(opts, WithSnapshotDir(dir))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.sresnap"))
+		if err != nil || len(files) != 1 {
+			t.Fatalf("settings %d: snapshot dir holds %v (%v), want one file", i, files, err)
+		}
+		cached, err := os.ReadFile(files[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Mode{ORC, ORCDOF} {
+			if _, err := net.Run(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		written, err := os.ReadFile(writeSnapshot(t, dir, net))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = cached
+		}
+		if !bytes.Equal(cached, want) || !bytes.Equal(written, want) {
+			t.Fatalf("settings %d: snapshot bytes differ (%d and %d B, first settings wrote %d B)",
+				i, len(cached), len(written), len(want))
+		}
 	}
 }
 

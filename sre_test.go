@@ -1,6 +1,7 @@
 package sre
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -52,6 +53,25 @@ func TestConfigValidate(t *testing.T) {
 	bad.CrossbarSize = 1 << 30
 	if bad.Validate() == nil {
 		t.Fatal("accepted a 2^30 crossbar")
+	}
+	// Every negative window cap would mean what 0 means (every window)
+	// under its own batch and cache key, so none is accepted.
+	for _, mw := range []int{-1, -7} {
+		bad = testConfig()
+		bad.MaxWindows = mw
+		if bad.Validate() == nil {
+			t.Fatalf("accepted max windows %d", mw)
+		}
+	}
+	net, err := Load("MNIST", WithConfig(testConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.Run(ORCDOF); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.RunContext(context.Background(), ORCDOF, WithMaxWindows(-1)); err == nil {
+		t.Fatal("a run accepted WithMaxWindows(-1)")
 	}
 }
 

@@ -89,11 +89,6 @@ func (s Scheme) ReordersInputs() bool { return s == ORC || s == WSS }
 // scheme composes.
 func (s Scheme) ComposesWithDOF() bool { return s != OCC }
 
-// RequiresSlicePlanes reports whether the scheme needs the structure's
-// weight-slice group planes (built by Build, carried by snapshots as a
-// separate plane section). Only WSS reads them.
-func (s Scheme) RequiresSlicePlanes() bool { return s == WSS }
-
 // FetchGroups returns the per-batch eDRAM fetch count of one tile with
 // the given total and non-empty OU column group counts. Input-order-
 // preserving schemes fetch the batch once; ORC fetches once per group
@@ -174,8 +169,7 @@ type Structure struct {
 	// where a weight's cell j lands at physical column j*cols + c instead
 	// of c*cpw + j: group g then holds same-significance slices of S_BL
 	// weights, and bit r is set iff tile row r has a non-zero cell in
-	// that slice group. Nil when the structure was decoded from a source
-	// without slice planes; WSS plans then cannot be built.
+	// that slice group. WSS plans derive from this grid.
 	sliceGroups [][][]*bitset.Set
 	// nonZeroCells counts non-zero cells over the whole layer (Ideal).
 	nonZeroCells int64
@@ -252,15 +246,8 @@ func (s *Structure) GroupNonZeroRows(rb, cb, gi int) *bitset.Set {
 	return s.groups[rb][cb][gi]
 }
 
-// HasSlicePlanes reports whether the structure carries the slice-major
-// group planes WSS plans derive from. Always true for built structures;
-// false only for structures decoded from a source without a slice-plane
-// section.
-func (s *Structure) HasSlicePlanes() bool { return s.sliceGroups != nil }
-
 // SliceGroupNonZeroRows returns the bitset of rows with a non-zero cell
-// in slice-major group (rb, cb, gi). Callers must not mutate it; panics
-// when HasSlicePlanes is false.
+// in slice-major group (rb, cb, gi). Callers must not mutate it.
 func (s *Structure) SliceGroupNonZeroRows(rb, cb, gi int) *bitset.Set {
 	return s.sliceGroups[rb][cb][gi]
 }
@@ -269,9 +256,6 @@ func (s *Structure) SliceGroupNonZeroRows(rb, cb, gi int) *bitset.Set {
 // slice-major grid for WSS, the word-major grid otherwise.
 func (s *Structure) schemeGroups(scheme Scheme) [][][]*bitset.Set {
 	if scheme == WSS {
-		if s.sliceGroups == nil {
-			panic("compress: structure has no weight-slice planes (scheme wss)")
-		}
 		return s.sliceGroups
 	}
 	return s.groups
@@ -552,26 +536,17 @@ func (s *Structure) EmptyGroups(scheme Scheme, indexBits int) int64 {
 	return s.planStatsFor(scheme, indexBits).emptyGroups
 }
 
-// SizeBytes estimates the structure's resident memory: the per-group
-// non-zero-row masks (the dominant owned allocation — exactly the words
-// the snapshot plane persists) plus per-group bitset headers and a
-// fixed bookkeeping constant. The derived plan/stat memos are not
-// walked; they are bounded by the same group geometry and fold into the
-// constant. The serve-layer registry uses this estimate for its
-// byte-bounded LRU accounting, so it only needs to order networks by
-// footprint, not be exact.
+// SizeBytes estimates the structure's resident memory: both group
+// grids' non-zero-row masks (exactly the two planes a snapshot
+// persists, and all a built or decoded structure owns) plus per-group
+// bitset headers and a fixed bookkeeping constant. The plan and stat
+// memos derived by later runs are not counted. The serve-layer
+// registry uses this estimate for its byte-bounded LRU accounting, so
+// it only needs to order networks by footprint, not be exact.
 func (s *Structure) SizeBytes() int64 {
-	lay := s.Layout
-	groupsPerRow := 0
-	for cb := 0; cb < lay.ColBlocks; cb++ {
-		groupsPerRow += lay.GroupsInTile(cb)
-	}
-	groups := int64(groupsPerRow) * int64(lay.RowBlocks)
-	planes := int64(1)
-	if s.sliceGroups != nil {
-		planes = 2 // the slice-major grid doubles the owned mask words
-	}
-	return planes*(int64(s.PlaneWords())*8+groups*48) + 512
+	rowWords, groups := planeShape(s.Layout)
+	grid := int64(rowWords)*int64(groups)*8 + int64(groups)*int64(s.Layout.RowBlocks)*48
+	return 2*grid + 512
 }
 
 // AbsoluteIndexBits returns the storage needed if absolute (non-delta)

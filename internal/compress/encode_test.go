@@ -41,17 +41,14 @@ func TestStructurePlaneRoundTrip(t *testing.T) {
 			t.Fatalf("trial %d: AppendPlanes wrote %d words, PlaneWords says %d",
 				trial, len(planes), s.PlaneWords())
 		}
-		slicePlanes := s.AppendSlicePlanes(make([]uint64, 0, s.SlicePlaneWords()))
-		if len(slicePlanes) != s.SlicePlaneWords() {
-			t.Fatalf("trial %d: AppendSlicePlanes wrote %d words, SlicePlaneWords says %d",
-				trial, len(slicePlanes), s.SlicePlaneWords())
+		slicePlanes := s.AppendSlicePlanes(make([]uint64, 0, s.PlaneWords()))
+		if len(slicePlanes) != s.PlaneWords() {
+			t.Fatalf("trial %d: AppendSlicePlanes wrote %d words, PlaneWords says %d",
+				trial, len(slicePlanes), s.PlaneWords())
 		}
 		back, err := NewStructureFromPlanes(s.Layout.Rows, s.Layout.LogicalCols, p, g, planes, slicePlanes, s.NonZeroCells())
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !back.HasSlicePlanes() {
-			t.Fatalf("trial %d: decoded structure lost its slice planes", trial)
 		}
 		lay := s.Layout
 		if back.Layout != lay {
@@ -83,8 +80,8 @@ func TestStructurePlaneRoundTrip(t *testing.T) {
 				t.Fatalf("trial %d: scheme %v accounting diverged", trial, sc)
 			}
 		}
-		comparePlanSets(t, s.PlanSet(ORC, 5), back.PlanSet(ORC, 5), s.Layout)
-		comparePlanSets(t, s.PlanSet(WSS, 5), back.PlanSet(WSS, 5), s.Layout)
+		comparePlanSets(t, s.PlanSet(ORC, 5, CacheMetrics{}), back.PlanSet(ORC, 5, CacheMetrics{}), s.Layout)
+		comparePlanSets(t, s.PlanSet(WSS, 5, CacheMetrics{}), back.PlanSet(WSS, 5, CacheMetrics{}), s.Layout)
 	}
 }
 
@@ -135,48 +132,24 @@ func comparePlanSets(t *testing.T, a, b *PlanSet, lay mapping.Layout) {
 	}
 }
 
-// TestPlanSetWireRoundTrip proves AppendPlanSet → DecodePlanSet is
-// exact across schemes with and without index-encoding fillers, and
-// that decoding rejects truncated and oversized inputs.
-func TestPlanSetWireRoundTrip(t *testing.T) {
-	r := xrand.New(11)
+// TestStructureFromPlanesNeedsBothPlanes proves the slice plane is as
+// mandatory as the structure plane: a nil slice plane, and either plane
+// one word short, are rejected rather than adopted.
+func TestStructureFromPlanesNeedsBothPlanes(t *testing.T) {
+	r := xrand.New(19)
 	for trial := 0; trial < 10; trial++ {
-		s, _, _, _ := randomStructure(r)
-		for _, sc := range []Scheme{Baseline, Naive, ORC, WSS} {
-			for _, idx := range []int{0, 3, 5} {
-				ps := s.PlanSet(sc, idx)
-				wire := AppendPlanSet(nil, ps)
-				back, err := DecodePlanSet(wire, s.Layout)
-				if err != nil {
-					t.Fatalf("trial %d %v/%d: %v", trial, sc, idx, err)
-				}
-				comparePlanSets(t, ps, back, s.Layout)
-				if _, err := DecodePlanSet(wire[:len(wire)-1], s.Layout); err == nil {
-					t.Fatalf("trial %d: truncated plan set decoded", trial)
-				}
-				if _, err := DecodePlanSet(append(wire[:len(wire):len(wire)], 0), s.Layout); err == nil {
-					t.Fatalf("trial %d: trailing byte accepted", trial)
-				}
+		s, _, p, g := randomStructure(r)
+		planes := s.AppendPlanes(nil)
+		slicePlanes := s.AppendSlicePlanes(nil)
+		short := func(pl []uint64) []uint64 { return pl[:len(pl)-1] }
+		for name, pair := range map[string][2][]uint64{
+			"nil slice plane":             {planes, nil},
+			"slice plane one word short":  {planes, short(slicePlanes)},
+			"struct plane one word short": {short(planes), slicePlanes},
+		} {
+			if _, err := NewStructureFromPlanes(s.Layout.Rows, s.Layout.LogicalCols, p, g, pair[0], pair[1], s.NonZeroCells()); err == nil {
+				t.Fatalf("trial %d: %s accepted", trial, name)
 			}
 		}
-	}
-}
-
-// TestSeedPlanSetWins proves a seeded plan set is what the cache
-// serves, and that seeding after a build is a harmless no-op.
-func TestSeedPlanSetWins(t *testing.T) {
-	r := xrand.New(23)
-	s, _, _, _ := randomStructure(r)
-	donor, _, _, _ := randomStructure(xrand.New(23)) // same RNG stream → identical layer
-	ps := donor.PlanSet(ORC, 5)
-	s.SeedPlanSet(ORC, 5, ps)
-	if got := s.PlanSet(ORC, 5); got != ps {
-		t.Fatal("cache did not serve the seeded plan set")
-	}
-	// Seeding an occupied key must not replace it.
-	other := donor.PlanSet(ORC, 3)
-	s.SeedPlanSet(ORC, 5, other)
-	if got := s.PlanSet(ORC, 5); got != ps {
-		t.Fatal("second seed displaced the first")
 	}
 }

@@ -94,17 +94,12 @@ type CacheMetrics struct {
 }
 
 // PlanSet returns the cached per-tile execution plans for scheme at the
-// given index width, building them on first use. The result is shared
-// and must be treated as read-only. Baseline and Ideal ignore the index
-// width, so their entries are normalized to indexBits 0. OCC compresses
-// along the other axis and has no row plans; like Plan, this panics for
-// it.
-func (s *Structure) PlanSet(scheme Scheme, indexBits int) *PlanSet {
-	return s.PlanSetMetered(scheme, indexBits, CacheMetrics{})
-}
-
-// PlanSetMetered is PlanSet feeding the given cache counters.
-func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics) *PlanSet {
+// given index width, building them from the group planes on first use
+// and feeding cm's counters. The result is shared and must be treated
+// as read-only. Baseline and Ideal ignore the index width, so their
+// entries are normalized to indexBits 0. OCC compresses along the other
+// axis and has no row plans; like Plan, this panics for it.
+func (s *Structure) PlanSet(scheme Scheme, indexBits int, cm CacheMetrics) *PlanSet {
 	if scheme == OCC {
 		panic("compress: PlanSet does not support scheme " + scheme.String())
 	}
@@ -141,9 +136,7 @@ func (s *Structure) PlanSetMetered(scheme Scheme, indexBits int, cm CacheMetrics
 // and take one exact-size copy per tile, so steady-state builds do no
 // append growth at all. Plane words are set in place in the final
 // allocation. The produced rows (and the words the simulator counts
-// against) are byte-for-byte what Plan returns; snapshot encoding
-// serializes each group's rows by content, so aliased headers persist
-// identically.
+// against) are byte-for-byte what Plan returns.
 func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 	lay := s.Layout
 	grid := s.schemeGroups(scheme)
@@ -243,7 +236,7 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 // shareRows fills a tile whose groups all retain the same rows (Naive,
 // ReCom): every group header aliases the one list and the plane
 // replicates one group's words, preserving the exact per-group layout
-// the counting kernels and snapshot encoder expect.
+// the counting kernels expect.
 func (tp *TilePlans) shareRows(rows []int, swl int) {
 	tp.GroupRows = make([][]int, tp.Groups)
 	tp.Plane = make([]uint64, tp.Groups*tp.Words)

@@ -33,7 +33,7 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 	lay := s.Layout
 	for _, scheme := range []Scheme{Baseline, Naive, ReCom, ORC, Ideal, WSS} {
 		indexBits := 3
-		ps := s.PlanSet(scheme, indexBits)
+		ps := s.PlanSet(scheme, indexBits, CacheMetrics{})
 		if len(ps.Tiles) != lay.RowBlocks || len(ps.Tiles[0]) != lay.ColBlocks {
 			t.Fatalf("%v: tile grid %dx%d", scheme, len(ps.Tiles), len(ps.Tiles[0]))
 		}
@@ -108,14 +108,14 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 // distinct key, and the Baseline indexBits normalization.
 func TestPlanSetMemoizes(t *testing.T) {
 	s := cacheTestStructure(t)
-	a := s.PlanSet(ORC, 3)
-	if s.PlanSet(ORC, 3) != a {
+	a := s.PlanSet(ORC, 3, CacheMetrics{})
+	if s.PlanSet(ORC, 3, CacheMetrics{}) != a {
 		t.Fatal("same key must return the cached PlanSet")
 	}
-	if s.PlanSet(ORC, 4) == a {
+	if s.PlanSet(ORC, 4, CacheMetrics{}) == a {
 		t.Fatal("different index width must build a different PlanSet")
 	}
-	if s.PlanSet(Baseline, 3) != s.PlanSet(Baseline, 0) {
+	if s.PlanSet(Baseline, 3, CacheMetrics{}) != s.PlanSet(Baseline, 0, CacheMetrics{}) {
 		t.Fatal("Baseline must normalize indexBits")
 	}
 }
@@ -132,12 +132,12 @@ func TestPlanSetConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = s.PlanSet(schemes[i%len(schemes)], 3)
+			results[i] = s.PlanSet(schemes[i%len(schemes)], 3, CacheMetrics{})
 		}(i)
 	}
 	wg.Wait()
 	for i := range results {
-		if results[i] != s.PlanSet(schemes[i%len(schemes)], 3) {
+		if results[i] != s.PlanSet(schemes[i%len(schemes)], 3, CacheMetrics{}) {
 			t.Fatal("concurrent PlanSet returned a non-cached instance")
 		}
 	}
@@ -150,7 +150,7 @@ func TestPlanSetRejectsOCC(t *testing.T) {
 			t.Fatal("PlanSet must reject OCC")
 		}
 	}()
-	s.PlanSet(OCC, 3)
+	s.PlanSet(OCC, 3, CacheMetrics{})
 }
 
 // TestPlanStatsMatchStoragePlanned cross-checks the memoized count-only

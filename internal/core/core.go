@@ -535,19 +535,12 @@ type batchWork struct{ ous, wl int64 }
 // validateModeLayer checks the mode against the layer's prepared state.
 // The rules derive from scheme traits, not a per-mode switch: a scheme
 // that cannot compose with DOF (OCC — Fig. 10: currents of different
-// outputs would accumulate on one bitline) rejects any DOF pairing, a
-// scheme that plans over weight bit-slice planes (WSS) requires the
-// structure to carry them, and OCC additionally needs its column-
-// compressed companion structure.
+// outputs would accumulate on one bitline) rejects any DOF pairing, and
+// OCC additionally needs its column-compressed companion structure.
 func validateModeLayer(l Layer, cfg Config) error {
 	if cfg.Mode.DOF && !cfg.Mode.Scheme.ComposesWithDOF() {
 		return fmt.Errorf(
 			"core: layer %q: scheme %v cannot combine with DOF (paper Fig. 10)", l.Name, cfg.Mode.Scheme)
-	}
-	if cfg.Mode.Scheme.RequiresSlicePlanes() && !l.Struct.HasSlicePlanes() {
-		return fmt.Errorf(
-			"core: layer %q: mode %v needs weight bit-slice planes (structure predates them or was decoded without slice planes)",
-			l.Name, cfg.Mode)
 	}
 	if cfg.Mode.Scheme == compress.OCC && l.OCC == nil {
 		return fmt.Errorf(
@@ -688,7 +681,7 @@ func layerPlans(ctx context.Context, l Layer, cfg Config, ls *layerScratch, msh 
 	lay := l.Struct.Layout
 	var ps *compress.PlanSet
 	if cfg.Mode.Scheme != compress.OCC {
-		ps = l.Struct.PlanSetMetered(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
+		ps = l.Struct.PlanSet(cfg.Mode.Scheme, cfg.IndexBits, compress.CacheMetrics{
 			Hits:   msh.Counter("sre_compress_plan_cache_hits_total"),
 			Misses: msh.Counter("sre_compress_plan_cache_misses_total"),
 			Builds: msh.Counter("sre_compress_plan_cache_builds_total"),

@@ -10,24 +10,6 @@ import (
 	"sre/internal/quant"
 )
 
-// noSlicePlaneStructure rebuilds a structure through the plane decoder
-// with the slice-plane section absent — the shape a pre-format-2
-// snapshot (or any caller of NewStructureFromPlanes passing nil slice
-// planes) produces.
-func noSlicePlaneStructure(t *testing.T, rows, cols int, p quant.Params, g mapping.Geometry) *compress.Structure {
-	t.Helper()
-	st, _, _ := smallCase(3, rows, cols, p, g, 0.5, 0)
-	planes := st.AppendPlanes(nil)
-	back, err := compress.NewStructureFromPlanes(rows, cols, p, g, planes, nil, st.NonZeroCells())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.HasSlicePlanes() {
-		t.Fatal("nil slice planes still produced a slice grid")
-	}
-	return back
-}
-
 // TestInvalidModeCombosRejected is the mode×structure table test:
 // every combination the paper's Fig. 10 (or the engine's data
 // requirements) forbids must be rejected with an error that names the
@@ -36,22 +18,18 @@ func TestInvalidModeCombosRejected(t *testing.T) {
 	p := quant.Default()
 	g := mapping.Default()
 	full, _, inputs := smallCase(3, 40, 24, p, g, 0.5, 0)
-	bare := noSlicePlaneStructure(t, 40, 24, p, g)
 	acts := &sliceSource{rows: [][]uint32{inputs}}
 
 	cases := []struct {
 		name   string
 		mode   Mode
-		st     *compress.Structure
 		substr string // must appear in the error
 	}{
-		{"occ+dof", Mode{compress.OCC, true}, full, "cannot combine with DOF"},
-		{"occ without companion", ModeOCC, full, "needs Layer.OCC"},
-		{"wss without slice planes", ModeWSS, bare, "weight bit-slice planes"},
-		{"orc+dof+wss without slice planes", ModeORCDOFWSS, bare, "weight bit-slice planes"},
+		{"occ+dof", Mode{compress.OCC, true}, "cannot combine with DOF"},
+		{"occ without companion", ModeOCC, "needs Layer.OCC"},
 	}
 	for _, tc := range cases {
-		layer := Layer{Name: "victim", Struct: tc.st, Acts: acts}
+		layer := Layer{Name: "victim", Struct: full, Acts: acts}
 		cfg := DefaultConfig()
 		cfg.Mode = tc.mode
 		_, err := SimulateLayerContext(context.Background(), layer, cfg)
@@ -73,12 +51,13 @@ func TestInvalidModeCombosRejected(t *testing.T) {
 		}
 	}
 
-	// The same modes on the right structure are fine.
+	// The WSS modes, which plan over the structure's slice-major grid,
+	// run on the same layer.
 	for _, mode := range []Mode{ModeWSS, ModeORCDOFWSS} {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
 		if _, err := SimulateLayerContext(context.Background(), Layer{Name: "ok", Struct: full, Acts: acts}, cfg); err != nil {
-			t.Fatalf("%v rejected a slice-plane structure: %v", mode, err)
+			t.Fatalf("%v rejected a built structure: %v", mode, err)
 		}
 	}
 }

@@ -21,9 +21,9 @@
 //     running loop bodies, and those never wait on a lender. That holds
 //     while no sync.Once body or held lock calls For on the same pool:
 //     a body blocked on that lock would wait on a lender. The
-//     simulator's are serial — MaskPlanes.maskPlane,
-//     Structure.PlanSetMetered and the progress lock of
-//     SimulateNetworkBatchContext — and must stay so.
+//     simulator's are serial — MaskPlanes.maskPlane, Structure.PlanSet
+//     and the progress lock of SimulateNetworkBatchContext — and must
+//     stay so.
 //   - Cancellation. No chunk is claimed once ctx is cancelled (chunks
 //     already running finish), and For returns ctx.Err().
 //   - Determinism. fn covers each index exactly once, in disjoint

@@ -1,6 +1,6 @@
 // Package snapshot persists built networks: everything workload.Build
-// produces — prune-derived compression structures (as contiguous
-// little-endian word planes), per-layer ORC plan sets, activation-source
+// produces — each layer's prune-derived compression structure as its
+// two contiguous little-endian group planes, activation-source
 // parameters, and layer stats — in one versioned binary artifact that
 // loads in a single read. It is the serializable representation behind
 // sre.(*Network).WriteTo and sre.OpenSnapshot, and the build cache
@@ -9,7 +9,7 @@
 // File layout (all integers little-endian):
 //
 //	[ 0, 8)  magic "SRESNAP\x00"
-//	[ 8,12)  u32 format version (currently 3)
+//	[ 8,12)  u32 format version (currently 4)
 //	[12,16)  u32 meta length in bytes
 //	[16,24)  u64 payload length in bytes
 //	[24,32)  u64 CRC-64/ECMA of the meta JSON
@@ -24,11 +24,13 @@
 // and shared across replicas and CI. Everything written is a function
 // of the key alone, so equal keys give byte-identical files. The
 // payload is the concatenation, layer by layer, of the structure word
-// plane ([]u64), the weight-slice group plane ([]u64, format 2 — what
-// the WSS modes plan over) and an optional ORC plan-set section at the
-// spec's Table 2 index width; each section's size is recorded in the
-// meta, so decoding is pure slicing and the group bitsets adopt
-// sub-slices of one backing array without copying.
+// plane ([]u64) and the weight-slice group plane ([]u64, what the WSS
+// modes plan over), each exactly the meta's PlaneWords long, so
+// decoding is pure slicing and the group bitsets adopt sub-slices of
+// the decoded planes without copying. No plan set is persisted: a
+// loaded network holds exactly the state of a freshly built one and
+// derives every plan set from its planes on first use, as a built one
+// does.
 //
 // Decoding fails loudly: a bad magic, an unsupported version, a length
 // or checksum that does not line up, a meta whose recomputed content
@@ -66,8 +68,10 @@ import (
 // them with ErrVersion rather than misreading them. Version 2 added
 // the per-layer weight-slice plane section and Spec.SliceCap; version 3
 // dropped the window-code plane section and the writer-chosen plan
-// index width, so a file's bytes depend only on its key.
-const FormatVersion = 3
+// index width, so a file's bytes depend only on its key; version 4
+// dropped the ORC plan-set section and made the slice plane mandatory,
+// so a layer's payload is its two group planes and nothing else.
+const FormatVersion = 4
 
 const (
 	magic      = "SRESNAP\x00"
@@ -76,10 +80,6 @@ const (
 	// maxMetaBytes bounds the meta section a header may claim, keeping
 	// hostile or corrupt headers from driving huge allocations.
 	maxMetaBytes = 64 << 20
-	// maxPlanSectionBytes bounds one layer's persisted plan set; a layer
-	// whose ORC plans encode larger (dense weights on huge tilings) just
-	// rebuilds them lazily after load instead.
-	maxPlanSectionBytes = 16 << 20
 )
 
 // Named decode failures, matchable with errors.Is.
@@ -201,9 +201,7 @@ type layerMeta struct {
 	NonZeroCells  int64
 	Stats         workload.LayerStats
 	Acts          actsMeta
-	PlaneWords    int // structure word-plane length (u64 words)
-	SliceWords    int // weight-slice plane length (u64 words, format 2)
-	PlanBytes     int // ORC plan-set section length (0 = absent)
+	PlaneWords    int // length of each of the layer's two group planes (u64 words)
 }
 
 // actsMeta mirrors workload.SyntheticActs field for field.
@@ -257,7 +255,6 @@ func encodeBody(k Key, b *workload.Built) (meta, payload []byte, err error) {
 	if len(b.Stats) != len(b.Layers) {
 		return nil, nil, fmt.Errorf("snapshot: %d layers but %d stats entries", len(b.Layers), len(b.Stats))
 	}
-	var word [8]byte
 	for i := range b.Layers {
 		l := &b.Layers[i]
 		sa, ok := l.Acts.(*workload.SyntheticActs)
@@ -277,28 +274,11 @@ func encodeBody(k Key, b *workload.Built) (meta, payload []byte, err error) {
 				Sparsity: sa.Sparsity, Octaves: sa.Octaves, ChanOctaves: sa.ChanOctaves,
 				RowsPerChan: sa.RowsPerChan, ABits: sa.ABits, Seed: sa.Seed},
 			PlaneWords: st.PlaneWords(),
-			SliceWords: st.SlicePlaneWords(),
 		}
-		// Structure word plane, contiguous little-endian, then the
-		// weight-slice group plane in the same encoding.
-		planes := st.AppendPlanes(make([]uint64, 0, lm.PlaneWords))
-		for _, wd := range planes {
-			binary.LittleEndian.PutUint64(word[:], wd)
-			payload = append(payload, word[:]...)
-		}
-		for _, wd := range st.AppendSlicePlanes(make([]uint64, 0, lm.SliceWords)) {
-			binary.LittleEndian.PutUint64(word[:], wd)
-			payload = append(payload, word[:]...)
-		}
-		// ORC plan set at the spec's index width — the expensive-to-derive
-		// section. Skipped when the geometry outgrows the u16 row encoding
-		// or the section the bound.
-		if st.Layout.XbarRows <= 0xFFFF {
-			pb := compress.AppendPlanSet(nil, st.PlanSet(compress.ORC, k.Spec.IndexBits))
-			if len(pb) <= maxPlanSectionBytes {
-				lm.PlanBytes = len(pb)
-				payload = append(payload, pb...)
-			}
+		// Structure word plane, then the weight-slice group plane, both
+		// contiguous little-endian.
+		for _, wd := range st.AppendSlicePlanes(st.AppendPlanes(make([]uint64, 0, 2*lm.PlaneWords))) {
+			payload = binary.LittleEndian.AppendUint64(payload, wd)
 		}
 		fm.Layers = append(fm.Layers, lm)
 	}
@@ -350,9 +330,9 @@ func decodeHeader(data []byte) (header, error) {
 }
 
 // Decode reconstructs a built network from a complete snapshot image.
-// The returned Built shares backing memory with data (the structure
-// bitsets adopt sub-slices of one decoded plane), which is what keeps
-// loading a single read plus one word-conversion pass.
+// Each layer's structure bitsets adopt sub-slices of its two decoded
+// planes, so loading is a single read plus one word-conversion pass;
+// the returned Built does not reference data.
 func Decode(data []byte) (Key, *workload.Built, error) {
 	var zero Key
 	h, err := decodeHeader(data)
@@ -409,24 +389,13 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 		if err != nil {
 			return zero, nil, err
 		}
-		slicePlanes, err := words(lm, lm.SliceWords)
+		slicePlanes, err := words(lm, lm.PlaneWords)
 		if err != nil {
 			return zero, nil, err
 		}
 		st, err := compress.NewStructureFromPlanes(lm.Rows, lm.Cols, k.Quant, k.Geom, planes, slicePlanes, lm.NonZeroCells)
 		if err != nil {
 			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
-		}
-		if lm.PlanBytes < 0 || lm.PlanBytes > len(payload)-off {
-			return zero, nil, fmt.Errorf("%w: payload too short for layer %s", ErrCorrupt, lm.Name)
-		}
-		if lm.PlanBytes > 0 {
-			ps, err := compress.DecodePlanSet(payload[off:off+lm.PlanBytes], st.Layout)
-			if err != nil {
-				return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
-			}
-			st.SeedPlanSet(compress.ORC, k.Spec.IndexBits, ps)
-			off += lm.PlanBytes
 		}
 		acts := &workload.SyntheticActs{
 			Rows: lm.Acts.Rows, NWindows: lm.Acts.NWindows,
@@ -446,8 +415,7 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 	return k, b, nil
 }
 
-// ReadFile loads a snapshot in one read. Note the decoded network
-// shares backing memory with that read; see Decode.
+// ReadFile loads a snapshot in one read; see Decode.
 func ReadFile(path string) (Key, *workload.Built, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

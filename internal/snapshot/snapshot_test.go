@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -142,15 +143,52 @@ func TestCorruptionPaths(t *testing.T) {
 		}
 	}
 	check("plane words past 2^61", layer0(func(lm *layerMeta) { lm.PlaneWords = 1<<61 + 1 }), ErrCorrupt)
-	check("slice words past 2^61", layer0(func(lm *layerMeta) { lm.SliceWords = 1 << 61 }), ErrCorrupt)
 	check("negative plane words", layer0(func(lm *layerMeta) { lm.PlaneWords = -1 }), ErrCorrupt)
-	check("plan bytes past the payload", layer0(func(lm *layerMeta) { lm.PlanBytes = 1 << 62 }), ErrCorrupt)
 	check("dims of 2^40", layer0(func(lm *layerMeta) {
 		lm.Rows, lm.Cols, lm.Acts.Rows = 1<<40, 1<<40, 1<<40
 	}), ErrCorrupt)
 	check("dims that disagree with the plane", layer0(func(lm *layerMeta) { lm.Cols++ }), ErrCorrupt)
 	if _, _, err := Decode(reseal(t, data, func(*fileMeta) {})); err != nil {
 		t.Fatalf("an unedited re-sealed image does not decode: %v", err)
+	}
+}
+
+// TestLayerPayloadIsItsTwoPlanes pins the format-4 payload: layer by
+// layer, the structure plane then the slice plane of the built
+// network's own structure, 16·PlaneWords bytes per layer, and nothing
+// else — no derived state rides along.
+func TestLayerPayloadIsItsTwoPlanes(t *testing.T) {
+	k := testKey(t)
+	b := buildKey(t, k)
+	img := snapshotBytes(t, k, b)
+	h, err := decodeHeader(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fm fileMeta
+	if err := json.Unmarshal(img[headerSize:headerSize+int(h.metaLen)], &fm); err != nil {
+		t.Fatal(err)
+	}
+	payload := img[headerSize+int(h.metaLen):]
+	off := 0
+	for i, lm := range fm.Layers {
+		st := b.Layers[i].Struct
+		if lm.PlaneWords != st.PlaneWords() {
+			t.Fatalf("layer %s: meta PlaneWords %d, structure has %d", lm.Name, lm.PlaneWords, st.PlaneWords())
+		}
+		want := st.AppendSlicePlanes(st.AppendPlanes(nil))
+		if len(want) != 2*lm.PlaneWords || off+16*lm.PlaneWords > len(payload) {
+			t.Fatalf("layer %s: %d plane words, %d payload bytes left", lm.Name, len(want), len(payload)-off)
+		}
+		for j, wd := range want {
+			if got := binary.LittleEndian.Uint64(payload[off+8*j:]); got != wd {
+				t.Fatalf("layer %s: payload word %d is %#x, plane word is %#x", lm.Name, j, got, wd)
+			}
+		}
+		off += 16 * lm.PlaneWords
+	}
+	if off != len(payload) {
+		t.Fatalf("payload holds %d bytes beyond the layers' planes", len(payload)-off)
 	}
 }
 
@@ -250,8 +288,9 @@ func FuzzDecodeHeader(f *testing.F) {
 // be a named error. Each mutated image whose lengths still line up has
 // its meta and payload checksums re-sealed, so the mutations reach the
 // meta parser and the section decoders instead of stopping at a
-// checksum. The seed is a two-layer network of a few kilobytes, every
-// section present, so the fuzzer can also minimize what it finds.
+// checksum. The seed is a two-layer network of a few kilobytes, written
+// by Write at the current format, so the fuzzer can also minimize what
+// it finds.
 func FuzzDecode(f *testing.F) {
 	spec := workload.Spec{Name: "tiny", Topology: "conv3x4-pool-10", Input: []int{1, 8, 8},
 		WeightSparsity: 0.5, ActSparsity: 0.5, ConvSparsity: 0.5, FCSparsity: 0.5,

@@ -38,6 +38,7 @@ import (
 	"sre/internal/nn"
 	"sre/internal/prune"
 	"sre/internal/quant"
+	"sre/internal/tensor"
 	"sre/internal/xrand"
 )
 
@@ -189,12 +190,12 @@ func (s Spec) Network() (*nn.Network, error) {
 }
 
 // Built is a simulator-ready network: per-layer compression structures
-// and activation sources (weights themselves are no longer referenced;
-// LayerStats keeps the weight-level counts experiments report).
+// and activation sources. The weights themselves are no longer
+// referenced once each layer's structure is built; LayerStats keeps the
+// weight-level counts experiments report.
 type Built struct {
 	Spec   Spec
 	Layers []core.Layer
-	Infos  []nn.LayerInfo
 	Stats  []LayerStats
 }
 
@@ -239,24 +240,9 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 		return nil, err
 	}
 	root := s.streamRoot(seed)
-	infos := net.MatrixLayerInfos()
-	b := &Built{Spec: s, Infos: infos}
-	for _, li := range infos {
-		r := root.Split("w/" + li.Path)
-		w := li.Layer.WeightMatrix()
-		// Right-skewed magnitudes: |N(0, 0.3·max)| so that high cell
-		// groups of most weights are zero (the Fig. 4 bit-level effect).
-		d := w.Data()
-		for i := range d {
-			d[i] = float32(r.NormFloat64() * 0.3)
-		}
-		for pi, spec := range s.pruneSpecs(mode, li) {
-			prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
-		}
-		if s.SliceCap > 0 {
-			prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
-		}
-
+	b := &Built{Spec: s}
+	for _, li := range net.MatrixLayerInfos() {
+		w := s.prunedWeights(root, li, mode, p)
 		src := compress.NewFloatSource(w, p)
 		st := compress.Build(src, p, g)
 		var zeros int64
@@ -282,6 +268,29 @@ func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uin
 		})
 	}
 	return b, nil
+}
+
+// prunedWeights synthesizes matrix layer li's weight matrix from its
+// own streams under root: right-skewed random magnitudes, the prune
+// mode's passes, then the spec's slice cap. Build and
+// BuildOCCStructures both take their weights from here, so the OCC
+// structures see exactly the weights Build's structures do.
+func (s Spec) prunedWeights(root *xrand.RNG, li nn.LayerInfo, mode PruneMode, p quant.Params) *tensor.Tensor {
+	r := root.Split("w/" + li.Path)
+	w := li.Layer.WeightMatrix()
+	// Right-skewed magnitudes: |N(0, 0.3·max)| so that high cell
+	// groups of most weights are zero (the Fig. 4 bit-level effect).
+	d := w.Data()
+	for i := range d {
+		d[i] = float32(r.NormFloat64() * 0.3)
+	}
+	for pi, spec := range s.pruneSpecs(mode, li) {
+		prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
+	}
+	if s.SliceCap > 0 {
+		prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
+	}
+	return w
 }
 
 // streamRoot is the RNG every per-layer stream of the spec's network is
@@ -391,18 +400,7 @@ func (s Spec) BuildOCCStructures(mode PruneMode, p quant.Params, g mapping.Geome
 	root := s.streamRoot(seed)
 	var out []*compress.OCCStructure
 	for _, li := range net.MatrixLayerInfos() {
-		r := root.Split("w/" + li.Path)
-		w := li.Layer.WeightMatrix()
-		d := w.Data()
-		for i := range d {
-			d[i] = float32(r.NormFloat64() * 0.3)
-		}
-		for pi, spec := range s.pruneSpecs(mode, li) {
-			prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
-		}
-		if s.SliceCap > 0 {
-			prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
-		}
+		w := s.prunedWeights(root, li, mode, p)
 		out = append(out, compress.BuildOCC(compress.NewFloatSource(w, p), p, g))
 	}
 	return out, nil

@@ -9,6 +9,7 @@ import (
 
 	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/nn"
 	"sre/internal/quant"
 	"sre/internal/xrand"
 )
@@ -77,6 +78,17 @@ func TestParameterCounts(t *testing.T) {
 	}
 }
 
+// matrixInfos returns the spec's matrix-layer infos, aligned
+// one-to-one with Build's layers.
+func matrixInfos(t *testing.T, s Spec) []nn.LayerInfo {
+	t.Helper()
+	net, err := s.Network()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net.MatrixLayerInfos()
+}
+
 func TestBuildSmallNetworkSparsities(t *testing.T) {
 	s, _ := SpecByName("MNIST")
 	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1)
@@ -88,11 +100,12 @@ func TestBuildSmallNetworkSparsities(t *testing.T) {
 	}
 	// Every layer needs a structure and an activation source with the
 	// right geometry.
+	infos := matrixInfos(t, s)
 	for i, l := range b.Layers {
-		if l.Struct.Layout.Rows != b.Infos[i].Rows {
-			t.Fatalf("layer %s: structure rows %d != %d", l.Name, l.Struct.Layout.Rows, b.Infos[i].Rows)
+		if l.Struct.Layout.Rows != infos[i].Rows {
+			t.Fatalf("layer %s: structure rows %d != %d", l.Name, l.Struct.Layout.Rows, infos[i].Rows)
 		}
-		if l.Acts.Windows() != b.Infos[i].Windows {
+		if l.Acts.Windows() != infos[i].Windows {
 			t.Fatalf("layer %s: windows mismatch", l.Name)
 		}
 	}
@@ -115,8 +128,9 @@ func TestBuildDeterminism(t *testing.T) {
 			t.Fatal("builds differ across runs with the same seed")
 		}
 	}
-	codesA := make([]uint32, a.Infos[0].Rows)
-	codesB := make([]uint32, a.Infos[0].Rows)
+	rows := matrixInfos(t, s)[0].Rows
+	codesA := make([]uint32, rows)
+	codesB := make([]uint32, rows)
 	a.Layers[0].Acts.WindowCodes(3, codesA)
 	b.Layers[0].Acts.WindowCodes(3, codesB)
 	for i := range codesA {
@@ -269,8 +283,9 @@ func TestOutputBitsSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	infos := matrixInfos(t, s)
 	for i, l := range b.Layers {
-		want := int64(b.Infos[i].Windows) * int64(b.Infos[i].Cols) * 16
+		want := int64(infos[i].Windows) * int64(infos[i].Cols) * 16
 		if l.OutputBits != want {
 			t.Fatalf("layer %s OutputBits %d, want %d", l.Name, l.OutputBits, want)
 		}

@@ -662,15 +662,16 @@ var (
 	ErrSnapshotHash = snapshot.ErrHashMismatch
 )
 
-// WriteTo serializes the built network — compression structures, ORC
-// plan sets, activation parameters, and stats — as one versioned
+// WriteTo serializes the built network — each layer's two compression
+// group planes, activation parameters, and stats — as one versioned
 // snapshot (DESIGN.md §6) and returns the bytes written. It implements
 // io.WriterTo. The artifact is keyed by a content hash of the build
 // inputs and its bytes depend on nothing else (not on the run settings
 // this network was loaded or run with), so OpenSnapshot restores a
 // network bit-identical to this one, and WithSnapshotDir can find it
-// by hashing the same inputs. The plan sets are persisted at the
-// network's Table 2 index width; other widths re-derive lazily.
+// by hashing the same inputs. No plan set is written: a loaded network
+// derives every plan set from its planes on first use, exactly as a
+// built one does.
 func (n *Network) WriteTo(w io.Writer) (int64, error) {
 	mode, err := n.style.pruneMode()
 	if err != nil {
@@ -729,14 +730,16 @@ func (n *Network) SnapshotLoaded() bool { return n.fromSnapshot }
 // Name returns the network's name.
 func (n *Network) Name() string { return n.name }
 
-// SizeBytes estimates the resident memory a built network pins: the
-// per-layer compression structures' group masks (the bytes a snapshot
-// would persist) plus whatever slice-mask planes runs over the
-// network's own activations have lazily cached so far, with a small
-// fixed constant per layer for activation sources and bookkeeping. The estimate is cheap (no
-// allocation, a few loads per layer) and monotone — plane caches only
-// grow — so callers that account memory, like sreserved's byte-bounded
-// registry, can re-read it as the network warms up.
+// SizeBytes estimates the resident memory a network pins: each layer's
+// two compression group planes (the words a snapshot persists, and all
+// a built or loaded network holds before its first run) plus whatever
+// slice-mask planes runs over the network's own activations have
+// lazily cached so far, with a small fixed constant per layer for
+// activation sources and bookkeeping. The plan sets runs derive are not
+// counted. The estimate is cheap (no allocation, a few loads per layer)
+// and monotone — plane caches only grow — so callers that account
+// memory, like sreserved's byte-bounded registry, can re-read it as the
+// network warms up.
 func (n *Network) SizeBytes() int64 {
 	total := int64(4096)
 	for i := range n.built.Layers {

@@ -2,9 +2,13 @@ package sre
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -93,8 +97,11 @@ func TestSnapshotGoldenAllModes(t *testing.T) {
 }
 
 // TestWithSnapshotDir proves Load's snapshot-dir protocol: first call
-// builds and persists (a miss), second call loads (a hit), and both
-// simulate identically.
+// builds and persists (a miss), second call loads (a hit). A network
+// built cold into the dir, one loaded warm from it, one from a plain
+// Load and one opened from the written file hold the same state: their
+// metered sweeps and OCC runs give equal results and equal metrics,
+// plan-cache counters included.
 func TestWithSnapshotDir(t *testing.T) {
 	dir := t.TempDir()
 	cold, err := Load("MNIST", WithConfig(testConfig()), WithSnapshotDir(dir))
@@ -111,15 +118,39 @@ func TestWithSnapshotDir(t *testing.T) {
 	if !warm.SnapshotLoaded() {
 		t.Fatal("second load did not hit the snapshot")
 	}
-	a, err := cold.Run(ORCDOF)
+	plain, err := Load("MNIST", WithConfig(testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := warm.Run(ORCDOF)
+	files, err := filepath.Glob(filepath.Join(dir, "*.sresnap"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshot dir holds %v (%v), want one file", files, err)
+	}
+	opened, err := OpenSnapshot(files[0], WithMaxWindows(testConfig().MaxWindows))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "dir hit", a, b)
+	wantRes, wantSnaps := meteredRuns(t, plain)
+	for name, net := range map[string]*Network{"cold": cold, "warm": warm, "opened": opened} {
+		res, snaps := meteredRuns(t, net)
+		for i := range wantRes {
+			sameResult(t, name+"/"+wantRes[i].Mode.String(), wantRes[i], res[i])
+		}
+		if !reflect.DeepEqual(res, wantRes) {
+			t.Fatalf("%s: results differ from a plain Load's", name)
+		}
+		for i := range wantSnaps {
+			if !reflect.DeepEqual(snaps[i], wantSnaps[i]) {
+				var diff []string
+				for c, v := range wantSnaps[i].Counters {
+					if got := snaps[i].Counters[c]; got != v {
+						diff = append(diff, fmt.Sprintf("%s %d, want %d", c, got, v))
+					}
+				}
+				t.Fatalf("%s: metrics of run %d differ from a plain Load's (counters: %v)", name, i, diff)
+			}
+		}
+	}
 	// A different build point must not collide with the cached file.
 	other, err := Load("MNIST", WithConfig(testConfig()), WithSnapshotDir(dir), WithSeed(9))
 	if err != nil {
@@ -128,6 +159,33 @@ func TestWithSnapshotDir(t *testing.T) {
 	if other.SnapshotLoaded() {
 		t.Fatal("different seed hit the other seed's snapshot")
 	}
+}
+
+// meteredRuns runs net's full-mode sweep and RunOCC, each metered into
+// a registry of its own, and returns the results with their snapshots
+// stripped, then the two snapshots less the series that record
+// scheduling (sre_parallel_*, sre_core_arena_news_total).
+func meteredRuns(t *testing.T, net *Network) ([]Result, []*MetricsSnapshot) {
+	t.Helper()
+	all, err := net.RunAllContext(context.Background(), WithMetrics(NewMetrics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	occ, err := net.RunOCC(WithMetrics(NewMetrics()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := []*MetricsSnapshot{all[0].Metrics, occ.Metrics}
+	for _, snap := range snaps {
+		for _, series := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range series {
+				if strings.HasPrefix(name, "sre_parallel_") || strings.HasPrefix(name, "sre_core_arena_news_total") {
+					delete(series, name)
+				}
+			}
+		}
+	}
+	return zeroMetrics(append(all, occ)), snaps
 }
 
 // TestSnapshotBytesDependOnlyOnKey proves a snapshot is content

@@ -2,7 +2,9 @@
 // HTTP/JSON daemon that keeps built networks in memory and serves
 // simulation requests against them, amortizing workload synthesis and
 // the simulator's plan/slice-mask caches across every request that
-// shares a design point.
+// shares a design point. Each request is answered from the result
+// cache or by one sweep of its own; -sweeps bounds how many run at
+// once.
 //
 // Usage:
 //
@@ -43,7 +45,6 @@ func main() {
 		addr     = flag.String("addr", "127.0.0.1:8344", "listen address")
 		queue    = flag.Int("queue", 64, "max admitted (queued + running) requests")
 		sweeps   = flag.Int("sweeps", 2, "max concurrent simulation sweeps")
-		batchWin = flag.Duration("batch-window", 2*time.Millisecond, "micro-batch coalescing window (negative disables)")
 		grace    = flag.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
 		cacheCap = cli.AddByteSize(flag.CommandLine, "result-cache-bytes", 256<<20,
 			"deterministic result cache capacity (e.g. 64MiB; 0 disables)")
@@ -63,7 +64,6 @@ func main() {
 	srv := serve.NewServer(serve.Options{
 		MaxQueue:         *queue,
 		MaxSweeps:        *sweeps,
-		BatchWindow:      *batchWin,
 		Workers:          *workers,
 		Metrics:          reg,
 		SnapshotDir:      *snapDir,

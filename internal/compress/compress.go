@@ -539,14 +539,15 @@ func (s *Structure) EmptyGroups(scheme Scheme, indexBits int) int64 {
 // SizeBytes estimates the structure's resident memory: both group
 // grids' non-zero-row masks (exactly the two planes a snapshot
 // persists, and all a built or decoded structure owns) plus per-group
-// bitset headers and a fixed bookkeeping constant. The plan and stat
-// memos derived by later runs are not counted. The serve-layer
+// bitset headers and a fixed bookkeeping constant, plus the tile
+// records and plane words of every plan set runs have built so far.
+// It grows as plan sets are built and never shrinks. The serve-layer
 // registry uses this estimate for its byte-bounded LRU accounting, so
 // it only needs to order networks by footprint, not be exact.
 func (s *Structure) SizeBytes() int64 {
 	rowWords, groups := planeShape(s.Layout)
 	grid := int64(rowWords)*int64(groups)*8 + int64(groups)*int64(s.Layout.RowBlocks)*48
-	return 2*grid + 512
+	return 2*grid + 512 + s.plans.resident.Load()
 }
 
 // AbsoluteIndexBits returns the storage needed if absolute (non-delta)

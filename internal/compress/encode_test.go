@@ -86,7 +86,7 @@ func TestStructurePlaneRoundTrip(t *testing.T) {
 }
 
 // comparePlanSets checks two plan sets describe identical execution
-// state (treating nil and empty row slices as equal).
+// state: equal tile scalars and equal plane words.
 func comparePlanSets(t *testing.T, a, b *PlanSet, lay mapping.Layout) {
 	t.Helper()
 	if len(a.Tiles) != len(b.Tiles) {
@@ -105,20 +105,6 @@ func comparePlanSets(t *testing.T, a, b *PlanSet, lay mapping.Layout) {
 					t.Fatalf("tile (%d,%d) TileRows %d vs %d", rb, cb, ta.TileRows, tb.TileRows)
 				}
 				continue
-			}
-			if len(ta.GroupRows) != len(tb.GroupRows) {
-				t.Fatalf("tile (%d,%d) group count %d vs %d", rb, cb, len(ta.GroupRows), len(tb.GroupRows))
-			}
-			for gi := range ta.GroupRows {
-				ra, rbk := ta.GroupRows[gi], tb.GroupRows[gi]
-				if len(ra) != len(rbk) {
-					t.Fatalf("tile (%d,%d) group %d rows %v vs %v", rb, cb, gi, ra, rbk)
-				}
-				for i := range ra {
-					if ra[i] != rbk[i] {
-						t.Fatalf("tile (%d,%d) group %d row %d: %d vs %d", rb, cb, gi, i, ra[i], rbk[i])
-					}
-				}
 			}
 			if len(ta.Plane) != len(tb.Plane) {
 				t.Fatalf("tile (%d,%d) plane length %d vs %d", rb, cb, len(ta.Plane), len(tb.Plane))

@@ -1,7 +1,7 @@
 // Plan caching: a Structure memoizes, per (scheme, indexBits), the
-// fully-derived execution state of every crossbar tile — retained-row
-// plans, the word-plane flattening of the per-group row bitsets, and
-// the static OU/wordline counts the simulator's scheduling needs.
+// fully-derived execution state of every crossbar tile — the word
+// plane of each group's retained rows, and the static OU/wordline
+// counts the simulator's scheduling needs.
 // Before this cache the simulator rebuilt identical plans (including
 // the delta-index encoding) on every SimulateLayer call, once per mode per
 // RunAll sweep; now each distinct key is built exactly once per
@@ -11,6 +11,8 @@ package compress
 
 import (
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"sre/internal/bitset"
 	"sre/internal/index"
@@ -21,21 +23,20 @@ import (
 // TilePlans is the cached execution state of one (rb, cb) tile under
 // one (scheme, indexBits) key. All fields are read-only after build.
 type TilePlans struct {
-	// GroupRows lists, per OU column group, the ordered tile-relative
-	// retained rows (zero-padding fillers included).
-	GroupRows [][]int
 	// Plane is the structure-of-arrays word flattening of the per-group
-	// retained-row bitsets: group g occupies words [g*Words:(g+1)*Words].
+	// retained-row bitsets (zero-padding fillers included): group g
+	// occupies words [g*Words:(g+1)*Words]. A group's retained row count
+	// is the popcount of its words, since its encoded rows are distinct.
 	Plane []uint64
 	// Words is the word count of one group's row mask.
 	Words int
-	// Groups is len(GroupRows) (the plane's group count).
+	// Groups is the plane's group count.
 	Groups int
-	// RowCount is Σ_g len(GroupRows[g]) — the per-slice driven-wordline
-	// count when every retained row executes.
+	// RowCount is the sum of every group's retained rows — the
+	// per-slice driven-wordline count when every retained row executes.
 	RowCount int64
-	// OUs is Σ_g ceil(len(GroupRows[g])/S_WL) — the per-slice OU count
-	// without Dynamic OU Formation.
+	// OUs is the sum of every group's ceil(rows/S_WL) — the per-slice OU
+	// count without Dynamic OU Formation.
 	OUs int64
 	// NonEmptyGroups counts groups retaining at least one row. Schemes
 	// whose plans reorder inputs fetch once per non-empty group — an
@@ -43,11 +44,10 @@ type TilePlans struct {
 	// eDRAM read at all.
 	NonEmptyGroups int
 	// AllRows marks a Baseline tile: every group keeps every row, so
-	// GroupRows and Plane are left nil rather than materializing Groups
-	// identical full masks; TileRows carries the height. RowCount and
-	// OUs are still filled in, and consumers that walk per-group rows
-	// (the static-occupancy recorder) treat each group as TileRows full
-	// rows.
+	// Plane is left nil rather than materializing Groups identical full
+	// masks; TileRows carries the height. RowCount and OUs are still
+	// filled in, and consumers that walk per-group rows (the
+	// static-occupancy recorder) treat each group as TileRows full rows.
 	AllRows bool
 	// TileRows is the tile's row count (meaningful when AllRows is set).
 	TileRows int
@@ -62,6 +62,18 @@ type PlanSet struct {
 // Tile returns the cached plans of tile (rb, cb).
 func (ps *PlanSet) Tile(rb, cb int) *TilePlans { return &ps.Tiles[rb][cb] }
 
+// sizeBytes is the set's resident size: its tile records and plane
+// words.
+func (ps *PlanSet) sizeBytes() int64 {
+	var n int64
+	for _, row := range ps.Tiles {
+		for i := range row {
+			n += int64(unsafe.Sizeof(row[i])) + 8*int64(len(row[i].Plane))
+		}
+	}
+	return n
+}
+
 type planKey struct {
 	scheme    Scheme
 	indexBits int
@@ -74,6 +86,9 @@ type planKey struct {
 type planCache struct {
 	mu      sync.Mutex
 	entries map[planKey]*planEntry
+	// resident sums the sizeBytes of every set built so far, so
+	// SizeBytes can account them without racing the lazy builds.
+	resident atomic.Int64
 }
 
 type planEntry struct {
@@ -123,107 +138,78 @@ func (s *Structure) PlanSet(scheme Scheme, indexBits int, cm CacheMetrics) *Plan
 	e.once.Do(func() {
 		cm.Builds.Inc()
 		e.ps = s.buildPlanSet(scheme, indexBits)
+		s.plans.resident.Add(e.ps.sizeBytes())
 	})
 	return e.ps
 }
 
-// buildPlanSet derives every tile's plans. Schemes whose keep set is
+// buildPlanSet derives every tile's plans. Each group's retained
+// rows, delta-index encoded (fillers included) when the scheme carries
+// bounded indices, are written straight into its plane words from one
+// scratch reused across groups and tiles. Schemes whose keep set is
 // shared — Naive's per-tile criterion, ReCom's per-block criterion —
-// are encoded exactly once per tile (resp. row block) and every group
-// header aliases the one row list, instead of re-running the
-// delta-index encoding per group as Plan does; per-group schemes (ORC,
-// Ideal) accumulate their rows in a scratch buffer reused across tiles
-// and take one exact-size copy per tile, so steady-state builds do no
-// append growth at all. Plane words are set in place in the final
-// allocation. The produced rows (and the words the simulator counts
-// against) are byte-for-byte what Plan returns.
+// encode it once per tile (resp. row block) and replicate the words
+// across the tile's groups. The words set are exactly the rows Plan
+// returns.
 func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 	lay := s.Layout
 	grid := s.schemeGroups(scheme)
 	ps := &PlanSet{Tiles: make([][]TilePlans, lay.RowBlocks)}
-	var idxScratch []int // reused raw keep-set indices across groups
-	var rowScratch []int // reused encoded-rows accumulator across tiles
-	var offScratch []int // reused per-tile group offsets
-	// encode overwrites rowScratch with keep's retained rows, delta-index
-	// encoded (fillers included) when the scheme carries bounded indices.
-	encode := func(keep *bitset.Set) []int {
+	var idxScratch, rowScratch []int // reused across groups and tiles
+	// setRows sets keep's retained rows in the group words gw and
+	// returns how many it set.
+	setRows := func(gw []uint64, keep *bitset.Set) int {
 		if scheme == Ideal || indexBits <= 0 {
 			rowScratch = keep.Indices(rowScratch[:0])
-			return rowScratch
+		} else {
+			idxScratch = keep.Indices(idxScratch[:0])
+			var err error
+			rowScratch, _, err = index.AppendEncodedRows(rowScratch[:0], idxScratch, indexBits)
+			if err != nil {
+				panic(err)
+			}
 		}
-		idxScratch = keep.Indices(idxScratch[:0])
-		var err error
-		rowScratch, _, err = index.AppendEncodedRows(rowScratch[:0], idxScratch, indexBits)
-		if err != nil {
-			panic(err)
+		for _, r := range rowScratch {
+			gw[r>>6] |= 1 << uint(r&63)
 		}
-		return rowScratch
+		return len(rowScratch)
 	}
 	for rb := 0; rb < lay.RowBlocks; rb++ {
 		ps.Tiles[rb] = make([]TilePlans, lay.ColBlocks)
 		tileRows := lay.TileRows(rb)
 		words := bitset.Words64(tileRows)
-		var blockRows []int // ReCom: one exact-size row list per row block
+		var blockWords []uint64 // ReCom: the row block's one keep set
+		var blockRows int
 		if scheme == ReCom {
-			enc := encode(s.BlockNonZeroRows(rb))
-			blockRows = make([]int, len(enc))
-			copy(blockRows, enc)
+			blockWords = make([]uint64, words)
+			blockRows = setRows(blockWords, s.BlockNonZeroRows(rb))
 		}
 		for cb := 0; cb < lay.ColBlocks; cb++ {
 			tp := &ps.Tiles[rb][cb]
 			nGroups := lay.GroupsInTile(cb)
 			tp.Words = words
 			tp.Groups = nGroups
-			switch scheme {
-			case Baseline:
+			if scheme == Baseline {
 				tp.AllRows = true
 				tp.TileRows = tileRows
 				tp.RowCount = int64(nGroups) * int64(tileRows)
 				tp.OUs = int64(nGroups) * int64(xmath.CeilDiv(tileRows, lay.SWL))
 				tp.NonEmptyGroups = nGroups
+				continue
+			}
+			tp.Plane = make([]uint64, nGroups*words)
+			switch scheme {
 			case Naive:
-				enc := encode(s.TileNonZeroRows(rb, cb))
-				rows := make([]int, len(enc))
-				copy(rows, enc)
-				tp.shareRows(rows, lay.SWL)
+				tp.shareRows(setRows(tp.Plane[:words], s.TileNonZeroRows(rb, cb)), lay.SWL)
 			case ReCom:
+				copy(tp.Plane, blockWords)
 				tp.shareRows(blockRows, lay.SWL)
-			default: // ORC, Ideal: per-group keep sets
-				tp.GroupRows = make([][]int, nGroups)
-				if cap(offScratch) < nGroups+1 {
-					offScratch = make([]int, nGroups+1)
-				}
-				offs := offScratch[:nGroups+1]
-				offs[0] = 0
-				acc := rowScratch[:0]
+			default: // ORC, WSS, Ideal: per-group keep sets
 				for gi := 0; gi < nGroups; gi++ {
-					keep := grid[rb][cb][gi]
-					if scheme == Ideal || indexBits <= 0 {
-						acc = keep.Indices(acc)
-					} else {
-						idxScratch = keep.Indices(idxScratch[:0])
-						var err error
-						acc, _, err = index.AppendEncodedRows(acc, idxScratch, indexBits)
-						if err != nil {
-							panic(err)
-						}
-					}
-					offs[gi+1] = len(acc)
-				}
-				rowScratch = acc // keep the grown accumulator for later tiles
-				backing := make([]int, len(acc))
-				copy(backing, acc)
-				tp.Plane = make([]uint64, nGroups*words)
-				for gi := 0; gi < nGroups; gi++ {
-					rows := backing[offs[gi]:offs[gi+1]:offs[gi+1]]
-					tp.GroupRows[gi] = rows
-					gw := tp.Plane[gi*words : (gi+1)*words]
-					for _, r := range rows {
-						gw[r>>6] |= 1 << uint(r&63)
-					}
-					tp.RowCount += int64(len(rows))
-					tp.OUs += int64(xmath.CeilDiv(len(rows), lay.SWL))
-					if len(rows) > 0 {
+					n := setRows(tp.Plane[gi*words:(gi+1)*words], grid[rb][cb][gi])
+					tp.RowCount += int64(n)
+					tp.OUs += int64(xmath.CeilDiv(n, lay.SWL))
+					if n > 0 {
 						tp.NonEmptyGroups++
 					}
 				}
@@ -233,24 +219,17 @@ func (s *Structure) buildPlanSet(scheme Scheme, indexBits int) *PlanSet {
 	return ps
 }
 
-// shareRows fills a tile whose groups all retain the same rows (Naive,
-// ReCom): every group header aliases the one list and the plane
-// replicates one group's words, preserving the exact per-group layout
-// the counting kernels expect.
-func (tp *TilePlans) shareRows(rows []int, swl int) {
-	tp.GroupRows = make([][]int, tp.Groups)
-	tp.Plane = make([]uint64, tp.Groups*tp.Words)
-	g0 := tp.Plane[:tp.Words]
-	for _, r := range rows {
-		g0[r>>6] |= 1 << uint(r&63)
+// shareRows completes a tile whose groups all retain the same rows
+// (Naive, ReCom): group 0's words hold those rows and are replicated
+// across the plane, keeping the exact per-group layout the counting
+// kernels expect; rows is the per-group retained-row count.
+func (tp *TilePlans) shareRows(rows, swl int) {
+	for gi := 1; gi < tp.Groups; gi++ {
+		copy(tp.Plane[gi*tp.Words:(gi+1)*tp.Words], tp.Plane[:tp.Words])
 	}
-	for gi := 0; gi < tp.Groups; gi++ {
-		tp.GroupRows[gi] = rows
-		copy(tp.Plane[gi*tp.Words:(gi+1)*tp.Words], g0)
-	}
-	tp.RowCount = int64(tp.Groups) * int64(len(rows))
-	tp.OUs = int64(tp.Groups) * int64(xmath.CeilDiv(len(rows), swl))
-	if len(rows) > 0 {
+	tp.RowCount = int64(tp.Groups) * int64(rows)
+	tp.OUs = int64(tp.Groups) * int64(xmath.CeilDiv(rows, swl))
+	if rows > 0 {
 		tp.NonEmptyGroups = tp.Groups
 	}
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"sre/internal/bitset"
 	"sre/internal/mapping"
@@ -27,7 +28,9 @@ func cacheTestStructure(t *testing.T) *Structure {
 }
 
 // TestPlanSetMatchesPlan checks every cached field against the direct
-// Plan computation for every scheme the cache serves.
+// Plan computation for every scheme the cache serves: each group's
+// plane words hold exactly Plan's rows, and Plan repeats no row, so
+// the plane's popcount is the group's row count.
 func TestPlanSetMatchesPlan(t *testing.T) {
 	s := cacheTestStructure(t)
 	lay := s.Layout
@@ -52,7 +55,7 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 						t.Fatalf("Baseline tile (%d,%d): AllRows=%v TileRows=%d, want true/%d",
 							rb, cb, tp.AllRows, tp.TileRows, tileRows)
 					}
-					if tp.GroupRows != nil || tp.Plane != nil {
+					if tp.Plane != nil {
 						t.Fatalf("Baseline tile (%d,%d): expected virtual plans, got materialized rows", rb, cb)
 					}
 					plan := s.Plan(Baseline, rb, cb, 0, 0)
@@ -75,14 +78,10 @@ func TestPlanSetMatchesPlan(t *testing.T) {
 						wantBits = 0
 					}
 					plan := s.Plan(scheme, rb, cb, gi, wantBits)
-					if len(plan.Rows) != len(tp.GroupRows[gi]) {
-						t.Fatalf("%v tile (%d,%d) group %d: cached %d rows, plan %d",
-							scheme, rb, cb, gi, len(tp.GroupRows[gi]), len(plan.Rows))
-					}
 					mask := bitset.New(tileRows)
-					for i, r := range plan.Rows {
-						if tp.GroupRows[gi][i] != r {
-							t.Fatalf("%v tile (%d,%d) group %d: row order differs", scheme, rb, cb, gi)
+					for _, r := range plan.Rows {
+						if mask.Test(r) {
+							t.Fatalf("%v tile (%d,%d) group %d: Plan repeats row %d", scheme, rb, cb, gi, r)
 						}
 						mask.Set(r)
 					}
@@ -117,6 +116,29 @@ func TestPlanSetMemoizes(t *testing.T) {
 	}
 	if s.PlanSet(Baseline, 3, CacheMetrics{}) != s.PlanSet(Baseline, 0, CacheMetrics{}) {
 		t.Fatal("Baseline must normalize indexBits")
+	}
+}
+
+// TestPlanSetGrowsSizeBytes: the first build of a plan set adds its
+// tile records and plane words to the structure's SizeBytes, and a
+// repeated lookup adds nothing.
+func TestPlanSetGrowsSizeBytes(t *testing.T) {
+	s := cacheTestStructure(t)
+	before := s.SizeBytes()
+	ps := s.PlanSet(ORC, 3, CacheMetrics{})
+	var want int64
+	for rb := range ps.Tiles {
+		for cb := range ps.Tiles[rb] {
+			want += int64(unsafe.Sizeof(ps.Tiles[rb][cb])) + 8*int64(len(ps.Tiles[rb][cb].Plane))
+		}
+	}
+	if got := s.SizeBytes() - before; got != want || want == 0 {
+		t.Fatalf("PlanSet(ORC, 3) grew SizeBytes by %d, want the set's %d bytes", got, want)
+	}
+	after := s.SizeBytes()
+	s.PlanSet(ORC, 3, CacheMetrics{})
+	if got := s.SizeBytes(); got != after {
+		t.Fatalf("a repeated PlanSet lookup moved SizeBytes %d -> %d", after, got)
 	}
 }
 

@@ -219,14 +219,15 @@ func recordStaticOccupancy(occ *metrics.Histogram, tp *tilePlan, swl int, reps i
 	switch {
 	case tp.plans != nil:
 		if tp.plans.AllRows {
-			// Baseline plans are virtualized (no per-group row lists):
+			// Baseline plans are virtualized (no plane words):
 			// every group drives all TileRows rows, so batching the
 			// Groups identical observations is additive-identical.
 			observeOccupancy(occ, tp.plans.TileRows, swl, reps*int64(tp.plans.Groups))
 			return
 		}
-		for _, rows := range tp.plans.GroupRows {
-			observeOccupancy(occ, len(rows), swl, reps)
+		w := tp.plans.Words
+		for g := 0; g < tp.plans.Groups; g++ {
+			observeOccupancy(occ, bitset.CountWords(tp.plans.Plane[g*w:(g+1)*w]), swl, reps)
 		}
 	default:
 		occ.ObserveN(int64(swl), tp.staticOUs*reps)

@@ -6,7 +6,7 @@
 // zero, which is the signal graceful shutdown waits for. The Budget is
 // a semaphore over concurrent sweeps, so N admitted requests cannot
 // oversubscribe the internal/parallel pool: each sweep gets the
-// configured worker width and excess batches wait their turn.
+// configured worker width and excess requests wait their turn.
 package serve
 
 import (

@@ -4,11 +4,14 @@
 // yields a bit-identical Result (the invariant the golden tests and the
 // served bit-identity tests pin) — so once a sweep has computed a
 // (BatchKey, mode, act_seed) cell, every later request for it can be
-// answered without simulating, or even without waiting for a sweep
-// slot. The cache is a byte-accounted LRU: entries are charged their
-// estimated wire size, and past the configured cap the least recently
-// used results are dropped. Correctness is unaffected by eviction —
-// a miss just re-simulates — so the cap is purely a memory bound.
+// answered without simulating. The server reads the cache twice: on
+// arrival, so a hit never waits for a sweep slot, and again once a
+// slot is held, so a request queued behind an identical running sweep
+// reuses its cells. The cache is a byte-accounted LRU: entries are
+// charged their estimated wire size, and past the configured cap the
+// least recently used results are dropped. Correctness is unaffected
+// by eviction — a miss just re-simulates — so the cap is purely a
+// memory bound.
 package serve
 
 import (
@@ -20,10 +23,19 @@ import (
 	"sre/internal/metrics"
 )
 
-// resultCacheKey identifies one cached Result: the batch identity (the
-// resident network plus every result-affecting run option) refined by
-// the mode and the activation seed — exactly the tuple that determines
-// a Result bit-for-bit.
+// BatchKey is the request half of a result-cache key: the resident
+// network plus every run option that changes results. (Worker width
+// does not — results are bit-identical at any width.) The mode and the
+// activation seed complete the key.
+type BatchKey struct {
+	Key        Key
+	MaxWindows int
+	IndexBits  int
+}
+
+// resultCacheKey identifies one cached Result: the request's BatchKey
+// refined by the mode and the activation seed — exactly the tuple that
+// determines a Result bit-for-bit.
 type resultCacheKey struct {
 	BatchKey BatchKey
 	Mode     sre.Mode
@@ -42,7 +54,7 @@ type ResultCache struct {
 	lru     list.List // *resultCacheEntry, front = most recent
 
 	hits      *metrics.Counter // (mode, seed) cells served from cache
-	misses    *metrics.Counter // cells that forced (or joined) a sweep
+	misses    *metrics.Counter // cells swept because the cache lacked them
 	evictions *metrics.Counter // entries dropped under the byte cap
 	bytesG    *metrics.Gauge   // high-water accounted bytes
 }
@@ -73,8 +85,8 @@ func NewResultCache(capBytes int64, hits, misses, evictions *metrics.Counter, by
 // Lookup serves a whole request from cache: all-or-nothing over the
 // requested modes at one activation seed, in request order. A full hit
 // counts len(modes) cache hits and refreshes the entries' recency; a
-// partial or empty hit counts nothing (the sweep path will account the
-// batch's misses) and returns ok=false.
+// partial or empty hit counts nothing (the sweep that follows counts
+// its cells through missed) and returns ok=false.
 func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool) {
 	if c == nil {
 		return nil, false
@@ -97,39 +109,11 @@ func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]
 	return out, true
 }
 
-// LookupBatch serves a whole coalesced batch from cache: every
-// (seed, mode) cell of the batch's union must be present. A full hit
-// counts one cache hit per cell and returns the fan-out map the
-// batcher delivers from; any absent cell counts every cell as a miss
-// (the batch is about to sweep them all) and returns ok=false.
-func (c *ResultCache) LookupBatch(key BatchKey, modes []sre.Mode, acts []uint64) (map[uint64]map[sre.Mode]sre.Result, bool) {
-	cells := int64(len(modes)) * int64(len(acts))
-	if c == nil {
-		return nil, false
+// missed counts n cells about to be swept.
+func (c *ResultCache) missed(n int) {
+	if c != nil {
+		c.misses.Add(int64(n))
 	}
-	c.mu.Lock()
-	byAct := make(map[uint64]map[sre.Mode]sre.Result, len(acts))
-	for _, seed := range acts {
-		byMode := make(map[sre.Mode]sre.Result, len(modes))
-		for _, m := range modes {
-			el, ok := c.entries[resultCacheKey{key, m, seed}]
-			if !ok {
-				c.mu.Unlock()
-				c.misses.Add(cells)
-				return nil, false
-			}
-			byMode[m] = el.Value.(*resultCacheEntry).res
-		}
-		byAct[seed] = byMode
-	}
-	for _, seed := range acts {
-		for _, m := range modes {
-			c.lru.MoveToFront(c.entries[resultCacheKey{key, m, seed}])
-		}
-	}
-	c.mu.Unlock()
-	c.hits.Add(cells)
-	return byAct, true
 }
 
 // Put caches one (mode, seed) cell of a completed sweep, evicting the

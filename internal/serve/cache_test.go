@@ -178,18 +178,16 @@ func TestResultCacheEviction(t *testing.T) {
 }
 
 // TestResultCacheNil proves the nil cache (caching disabled) is safe
-// to call everywhere the batcher does.
+// to call everywhere the server does.
 func TestResultCacheNil(t *testing.T) {
 	var c *ResultCache
 	if c != NewResultCache(0, nil, nil, nil, nil) {
 		t.Fatal("NewResultCache(0) != nil")
 	}
 	c.Put(BatchKey{}, sre.Baseline, 0, sre.Result{})
+	c.missed(1)
 	if _, ok := c.Lookup(BatchKey{}, []sre.Mode{sre.Baseline}, 0); ok {
 		t.Fatal("nil cache returned a hit")
-	}
-	if _, ok := c.LookupBatch(BatchKey{}, []sre.Mode{sre.Baseline}, []uint64{0}); ok {
-		t.Fatal("nil cache returned a batch hit")
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("nil cache reports contents")

@@ -1,12 +1,13 @@
 // Package serve is the sreserved simulation service: a long-lived
 // HTTP/JSON front end over the sre library that keeps built networks
 // resident (registry.go), admits a bounded number of concurrent
-// requests (admission.go), coalesces same-key requests into shared
-// sweeps (batcher.go), and drains gracefully on shutdown. One process
-// amortizes Load's workload synthesis and the simulator's plan and
-// slice-mask caches across every request that hits the same design
-// point — the serving shape ReRAM accelerator stacks assume, where the
-// compressed structures are built once and reused.
+// requests (admission.go), answers each one from a deterministic
+// result cache (cache.go) or by one sweep of its own, and drains
+// gracefully on shutdown. One process amortizes Load's workload
+// synthesis and the simulator's plan and slice-mask caches across
+// every request that hits the same design point — the serving shape
+// ReRAM accelerator stacks assume, where the compressed structures are
+// built once and reused.
 package serve
 
 import (
@@ -14,7 +15,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"slices"
+	"sync"
 	"time"
 
 	"sre"
@@ -31,9 +35,6 @@ type Options struct {
 	// MaxSweeps caps concurrent simulation sweeps (default 2), so
 	// admitted requests cannot oversubscribe the worker pool.
 	MaxSweeps int
-	// BatchWindow is the micro-batcher's coalescing delay (default
-	// 2ms; negative disables coalescing so every request sweeps alone).
-	BatchWindow time.Duration
 	// Workers is the per-sweep worker-pool width (0 = GOMAXPROCS).
 	Workers int
 	// DefaultTimeout applies when a request carries no timeout_ms
@@ -69,9 +70,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxSweeps <= 0 {
 		o.MaxSweeps = 2
 	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 60 * time.Second
 	}
@@ -93,13 +91,17 @@ type Server struct {
 	opts     Options
 	registry *Registry
 	gate     *Gate
-	batcher  *Batcher
+	budget   *Budget
+	cache    *ResultCache // nil when caching is disabled
 	mux      *http.ServeMux
-	stop     context.CancelFunc // cancels the sweeps' base context
+	base     context.Context    // the drain context every sweep also runs under
+	stop     context.CancelFunc // cancels base
 
 	requests *metrics.Counter
 	rejected *metrics.Counter
 	timeouts *metrics.Counter
+	sweeps   *metrics.Counter
+	cancels  *metrics.Counter
 	inflight *metrics.Gauge
 }
 
@@ -108,18 +110,18 @@ func NewServer(opts Options) *Server {
 	opts = opts.withDefaults()
 	base, stop := context.WithCancel(context.Background())
 	shard := opts.Metrics.Shard()
-	window := opts.BatchWindow
-	if window < 0 {
-		window = 0
-	}
 	s := &Server{
 		opts:     opts,
 		registry: NewRegistry(),
 		gate:     NewGate(opts.MaxQueue),
+		budget:   NewBudget(opts.MaxSweeps),
+		base:     base,
 		stop:     stop,
 		requests: shard.Counter("sre_serve_requests_total"),
 		rejected: shard.Counter("sre_serve_rejected_total"),
 		timeouts: shard.Counter("sre_serve_timeouts_total"),
+		sweeps:   shard.Counter("sre_serve_sweeps_total"),
+		cancels:  shard.Counter("sre_serve_sweep_cancels_total"),
 		inflight: shard.Gauge("sre_serve_inflight_requests"),
 	}
 	s.gate.Track(s.inflight)
@@ -135,13 +137,11 @@ func NewServer(opts Options) *Server {
 			shard.Counter("sre_serve_registry_evicted_bytes_total"),
 			shard.Gauge("sre_serve_registry_bytes"))
 	}
-	cache := NewResultCache(opts.ResultCacheBytes,
+	s.cache = NewResultCache(opts.ResultCacheBytes,
 		shard.Counter("sre_serve_result_cache_hits_total"),
 		shard.Counter("sre_serve_result_cache_misses_total"),
 		shard.Counter("sre_serve_result_cache_evictions_total"),
 		shard.Gauge("sre_serve_result_cache_bytes"))
-	s.batcher = NewBatcher(s.registry, NewBudget(opts.MaxSweeps), cache, window,
-		opts.Workers, base, shard, sre.WithMetrics(opts.Metrics))
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	mux.HandleFunc("GET /v1/networks", s.handleNetworks)
@@ -162,9 +162,10 @@ func (s *Server) Registry() *Registry { return s.registry }
 
 // Drain gracefully shuts the service down: stop admitting (new
 // requests get 503), let every in-flight request finish, then cancel
-// the sweeps' base context. Returns nil once drained, or ctx.Err if
-// ctx ends first (in-flight sweeps are then cancelled mid-run). Pair
-// it with http.Server.Shutdown, which drains the connections.
+// the drain context every sweep runs under. Returns nil once drained,
+// or ctx.Err if ctx ends first (in-flight sweeps are then cancelled
+// mid-run). Pair it with http.Server.Shutdown, which drains the
+// connections.
 func (s *Server) Drain(ctx context.Context) error {
 	done := s.gate.Close()
 	select {
@@ -198,7 +199,8 @@ type SimulateRequest struct {
 	// independent random stream; weights and compression structures
 	// unchanged). Zero and the build seed both select the network's own
 	// activations and share their cached results. Requests that differ
-	// only in act_seed coalesce into one batched multi-activation sweep.
+	// only in act_seed share the resident network and its plan caches,
+	// never a sweep.
 	ActSeed uint64 `json:"act_seed,omitempty"`
 	// TimeoutMillis is the per-request deadline; 0 means the server
 	// default. The deadline propagates into the simulation via context
@@ -266,7 +268,7 @@ func (o ConfigOverrides) apply(cfg sre.Config) sre.Config {
 type SimulateResponse struct {
 	Network   string       `json:"network"`
 	Prune     string       `json:"prune"`
-	BatchSize int          `json:"batch_size"` // requests that shared the sweep
+	BatchSize int          `json:"batch_size"` // always 1: no request shares another's sweep
 	Cached    bool         `json:"cached"`     // served from the result cache, no sweep
 	Results   []sre.Result `json:"results"`
 }
@@ -362,12 +364,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	// The build seed selects the network's own activations, as 0 does,
-	// so both share one batch seed and one cache cell.
+	// so both share one cache cell.
 	actSeed := req.ActSeed
 	if actSeed == key.Seed {
 		actSeed = 0
 	}
-	results, size, cached, err := s.batcher.Do(ctx, batchKey, modes, actSeed)
+	results, cached, err := s.simulate(ctx, batchKey, modes, actSeed)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Inc()
@@ -387,10 +389,61 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SimulateResponse{
 		Network:   key.Network,
 		Prune:     key.Prune.String(),
-		BatchSize: size,
+		BatchSize: 1,
 		Cached:    cached,
 		Results:   results,
 	})
+}
+
+// simulate answers one request: from the result cache when every
+// (mode, act_seed) cell is there, otherwise by one sweep of its own on
+// the caller's goroutine, under ctx and the drain context, so a
+// deadline, a departed client or Drain cancels it. The cache is read
+// again once a sweep slot is held, so an identical request queued
+// behind a running sweep reuses its cells instead of sweeping them
+// twice. The slot and the network's pin are released before simulate
+// returns. Results come back in the order modes was given.
+func (s *Server) simulate(ctx context.Context, key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool, error) {
+	if res, ok := s.cache.Lookup(key, modes, actSeed); ok {
+		return res, true, nil
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(s.base, cancel)()
+	if err := s.budget.Acquire(ctx); err != nil {
+		return nil, false, err
+	}
+	defer s.budget.Release()
+	if res, ok := s.cache.Lookup(key, modes, actSeed); ok {
+		return res, true, nil
+	}
+	s.sweeps.Inc()
+	s.cache.missed(len(modes))
+	net, release, err := s.registry.Get(ctx, key.Key)
+	var grid [][]sre.Result
+	if err == nil {
+		defer release() // unpin: the registry may evict once the sweep is done
+		grid, err = net.RunBatchContext(ctx, modes, []sre.ActivationSet{{ActSeed: actSeed}},
+			sre.WithMaxWindows(key.MaxWindows),
+			sre.WithIndexBits(key.IndexBits),
+			sre.WithWorkers(s.opts.Workers),
+			sre.WithMetrics(s.opts.Metrics))
+	}
+	if err != nil {
+		if ctx.Err() != nil {
+			s.cancels.Inc()
+		}
+		return nil, false, err
+	}
+	res := grid[0]
+	for i := range res {
+		// Strip the sweep-wide metrics snapshot: responses must be
+		// bit-identical to a direct run, and /metrics serves the
+		// aggregate view.
+		res[i].Metrics = nil
+		s.cache.Put(key, modes[i], actSeed, res[i])
+	}
+	return res, false, nil
 }
 
 // resolve validates a request into its registry key, batch key, and
@@ -426,7 +479,7 @@ func (s *Server) resolve(req SimulateRequest) (Key, BatchKey, []sre.Mode, int, e
 	for _, name := range names {
 		if name == "all" {
 			for _, m := range sre.Modes() {
-				if !containsMode(modes, m) {
+				if !slices.Contains(modes, m) {
 					modes = append(modes, m)
 				}
 			}
@@ -436,7 +489,7 @@ func (s *Server) resolve(req SimulateRequest) (Key, BatchKey, []sre.Mode, int, e
 		if err != nil {
 			return Key{}, BatchKey{}, nil, http.StatusBadRequest, err
 		}
-		if !containsMode(modes, m) {
+		if !slices.Contains(modes, m) {
 			modes = append(modes, m)
 		}
 	}
@@ -449,10 +502,32 @@ func (s *Server) resolve(req SimulateRequest) (Key, BatchKey, []sre.Mode, int, e
 		modes, 0, nil
 }
 
+// jsonEncoder is a reusable indenting encoder whose target is set per
+// reply. A fresh json.Encoder grows its indent buffer from nothing on
+// every reply, which was most of what a cache hit allocated; a warm
+// one reuses it.
+type jsonEncoder struct {
+	w   io.Writer
+	enc *json.Encoder
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) { return e.w.Write(p) }
+
+var jsonEncoders = sync.Pool{New: func() any {
+	e := &jsonEncoder{}
+	e.enc = json.NewEncoder(e)
+	e.enc.SetIndent("", "  ")
+	return e
+}}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	e := jsonEncoders.Get().(*jsonEncoder)
+	e.w = w
+	err := e.enc.Encode(v)
+	e.w = nil
+	if err == nil { // a failed write sticks to a json.Encoder
+		jsonEncoders.Put(e)
+	}
 }

@@ -115,8 +115,8 @@ func TestServedResultBitIdentical(t *testing.T) {
 	if resp.Network != "MNIST" || resp.Prune != "ssl" {
 		t.Fatalf("echoed identity = %q/%q", resp.Network, resp.Prune)
 	}
-	if resp.BatchSize < 1 {
-		t.Fatalf("batch_size = %d", resp.BatchSize)
+	if resp.BatchSize != 1 {
+		t.Fatalf("batch_size = %d, want 1", resp.BatchSize)
 	}
 	wantModes := []sre.Mode{sre.Baseline, sre.ORCDOF, sre.DOF}
 	if len(resp.Results) != len(wantModes) {
@@ -312,48 +312,60 @@ func TestConcurrentSameKeyBuildsOnce(t *testing.T) {
 	}
 }
 
-func TestBatchCoalescing(t *testing.T) {
-	srv := NewServer(Options{BatchWindow: 150 * time.Millisecond})
+// TestIdenticalRequestsShareCells: identical cold requests released
+// together all miss the cache on arrival, but only those that win one
+// of the MaxSweeps slots sweep; the rest find the cells cached once a
+// slot frees. Every reply is bit-identical to a direct run, and every
+// request adds exactly len(modes) to cache hits plus misses.
+func TestIdenticalRequestsShareCells(t *testing.T) {
+	srv := NewServer(Options{MaxSweeps: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Two same-key requests inside one window must share a sweep.
+	modes := []sre.Mode{sre.Baseline, sre.ORC, sre.ORCDOF}
+	want := make([]sre.Result, len(modes))
+	for k, m := range modes {
+		want[k] = expect(t, m, sre.WithMaxWindows(6))
+	}
+	const clients = 8
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	sizes := make([]int, 2)
-	for i, mode := range []string{"orc", "dof"} {
+	for i := 0; i < clients; i++ {
 		wg.Add(1)
-		go func(i int, mode string) {
+		go func(i int) {
 			defer wg.Done()
-			status, body := postSimulate(t, ts.URL, fmt.Sprintf(
-				`{"network":"MNIST","mode":%q,"config":{"max_windows":6}}`, mode))
+			<-start
+			status, body := postSimulate(t, ts.URL,
+				`{"network":"MNIST","modes":["baseline","orc","orc+dof"],"config":{"max_windows":6}}`)
 			if status != http.StatusOK {
-				t.Errorf("status %d: %s", status, body)
+				t.Errorf("client %d: status %d: %s", i, status, body)
 				return
 			}
-			sizes[i] = decodeSimulate(t, body).BatchSize
-		}(i, mode)
+			resp := decodeSimulate(t, body)
+			if len(resp.Results) != len(modes) {
+				t.Errorf("client %d: %d results, want %d", i, len(resp.Results), len(modes))
+				return
+			}
+			for k, m := range modes {
+				if !reflect.DeepEqual(resp.Results[k], want[k]) {
+					t.Errorf("client %d mode %v: served result differs from direct RunContext", i, m)
+				}
+			}
+		}(i)
 	}
+	close(start)
 	wg.Wait()
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Fatalf("batch sizes = %v, want [2 2]", sizes)
-	}
 
-	// The batcher's own counters agree: one sweep, one coalesced rider.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	vals := parseProm(t, promBody(t, ts.URL))
+	sweeps := vals["sre_serve_sweeps_total"]
+	if sweeps < 1 || sweeps > 2 {
+		t.Errorf("sre_serve_sweeps_total = %v for %d identical requests under 2 slots, want 1 or 2", sweeps, clients)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	vals := parseProm(t, b)
-	if vals["sre_serve_sweeps_total"] != 1 {
-		t.Errorf("sre_serve_sweeps_total = %v, want 1", vals["sre_serve_sweeps_total"])
+	hits, misses := vals["sre_serve_result_cache_hits_total"], vals["sre_serve_result_cache_misses_total"]
+	if misses != sweeps*float64(len(modes)) || hits+misses != clients*float64(len(modes)) {
+		t.Errorf("cache hits %v + misses %v, want misses = %v sweeps × %d modes and a sum of %d",
+			hits, misses, sweeps, len(modes), clients*len(modes))
 	}
-	if vals["sre_serve_coalesced_requests_total"] != 1 {
-		t.Errorf("sre_serve_coalesced_requests_total = %v, want 1",
-			vals["sre_serve_coalesced_requests_total"])
-	}
-	// Coalesced results are still bit-identical per requester.
 }
 
 func TestLoadBitIdenticalAndMetricsMidLoad(t *testing.T) {
@@ -519,77 +531,59 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestActSeedCoalescing is the serving half of the batched
-// multi-activation tentpole: requests that differ only in act_seed
-// must coalesce into ONE sweep (one batched RunBatchContext under the
-// hood), and each requester's results must be bit-identical to the
-// same request swept alone — including the act_seed 0 requester, whose
-// solo sweep is a batch of its one (own) activation set.
-func TestActSeedCoalescing(t *testing.T) {
-	reqBody := func(seed uint64) string {
-		return fmt.Sprintf(
-			`{"network":"MNIST","modes":["dof","orc+dof","baseline"],"config":{"max_windows":6},"act_seed":%d}`,
-			seed)
-	}
-	seeds := []uint64{0, 41, 42}
-
-	// Solo references: coalescing disabled, every request sweeps alone.
-	solo := NewServer(Options{BatchWindow: -1})
-	tsSolo := httptest.NewServer(solo)
-	defer tsSolo.Close()
-	want := make([]SimulateResponse, len(seeds))
-	for i, s := range seeds {
-		status, body := postSimulate(t, tsSolo.URL, reqBody(s))
-		if status != http.StatusOK {
-			t.Fatalf("solo seed %d: status %d: %s", s, status, body)
-		}
-		want[i] = decodeSimulate(t, body)
-	}
-	if reflect.DeepEqual(want[0].Results, want[1].Results) {
-		t.Fatal("act_seed had no effect on solo results")
-	}
-
-	// Concurrent requests inside one window, differing only in act_seed.
-	srv := NewServer(Options{BatchWindow: 200 * time.Millisecond})
+// TestActSeedServedMatchesLibrary: a served act_seed request is
+// bit-identical to the library's RunBatchContext over the same
+// ActivationSet, act_seed 0 selecting the network's own activations,
+// and the seed really changes the results.
+func TestActSeedServedMatchesLibrary(t *testing.T) {
+	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	var wg sync.WaitGroup
-	got := make([]SimulateResponse, len(seeds))
-	for i, s := range seeds {
-		wg.Add(1)
-		go func(i int, s uint64) {
-			defer wg.Done()
-			status, body := postSimulate(t, ts.URL, reqBody(s))
-			if status != http.StatusOK {
-				t.Errorf("batched seed %d: status %d: %s", s, status, body)
-				return
-			}
-			got[i] = decodeSimulate(t, body)
-		}(i, s)
-	}
-	wg.Wait()
-	for i, s := range seeds {
-		if got[i].BatchSize != len(seeds) {
-			t.Errorf("seed %d: batch_size = %d, want %d", s, got[i].BatchSize, len(seeds))
-		}
-		if !reflect.DeepEqual(got[i].Results, want[i].Results) {
-			t.Errorf("seed %d: coalesced results differ from solo sweep", s)
-		}
-	}
 
-	// The batcher agrees it ran exactly one sweep for the three.
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	modes := []sre.Mode{sre.DOF, sre.ORCDOF, sre.Baseline}
+	var got [][]sre.Result
+	for _, seed := range []uint64{0, 41, 42} {
+		status, body := postSimulate(t, ts.URL, fmt.Sprintf(
+			`{"network":"MNIST","modes":["dof","orc+dof","baseline"],"config":{"max_windows":6},"act_seed":%d}`,
+			seed))
+		if status != http.StatusOK {
+			t.Fatalf("act_seed %d: status %d: %s", seed, status, body)
+		}
+		resp := decodeSimulate(t, body)
+		grid, err := mnistDirect(t).RunBatchContext(context.Background(), modes,
+			[]sre.ActivationSet{{ActSeed: seed}}, sre.WithMaxWindows(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(resp.Results, grid[0]) {
+			t.Errorf("act_seed %d: served results differ from the library's RunBatchContext", seed)
+		}
+		got = append(got, resp.Results)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	vals := parseProm(t, b)
-	if vals["sre_serve_sweeps_total"] != 1 {
-		t.Errorf("sre_serve_sweeps_total = %v, want 1", vals["sre_serve_sweeps_total"])
+	if reflect.DeepEqual(got[0], got[1]) || reflect.DeepEqual(got[1], got[2]) {
+		t.Fatal("act_seed had no effect on the served results")
 	}
-	if vals["sre_serve_coalesced_requests_total"] != 2 {
-		t.Errorf("sre_serve_coalesced_requests_total = %v, want 2",
-			vals["sre_serve_coalesced_requests_total"])
+}
+
+// failingWriter is a ResponseWriter whose body writes fail, as they do
+// once a client has gone.
+type failingWriter struct{ h http.Header }
+
+func (f *failingWriter) Header() http.Header       { return f.h }
+func (f *failingWriter) WriteHeader(int)           {}
+func (f *failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
+
+// TestWriteJSONAfterFailedWrite: a json.Encoder whose write failed
+// returns that error for good, so writeJSON must not pool it; the next
+// reply is written in full.
+func TestWriteJSONAfterFailedWrite(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		writeJSON(&failingWriter{h: http.Header{}}, http.StatusOK, errorResponse{Error: "lost"})
+		rec := httptest.NewRecorder()
+		writeJSON(rec, http.StatusOK, errorResponse{Error: "kept"})
+		var e errorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "kept" {
+			t.Fatalf("reply after a failed write: %q (%v)", rec.Body.String(), err)
+		}
 	}
 }

@@ -732,14 +732,13 @@ func (n *Network) Name() string { return n.name }
 
 // SizeBytes estimates the resident memory a network pins: each layer's
 // two compression group planes (the words a snapshot persists, and all
-// a built or loaded network holds before its first run) plus whatever
-// slice-mask planes runs over the network's own activations have
-// lazily cached so far, with a small fixed constant per layer for
-// activation sources and bookkeeping. The plan sets runs derive are not
-// counted. The estimate is cheap (no allocation, a few loads per layer)
-// and monotone — plane caches only grow — so callers that account
-// memory, like sreserved's byte-bounded registry, can re-read it as the
-// network warms up.
+// a built or loaded network holds before its first run) plus the plan
+// sets and the slice-mask planes (over the network's own activations)
+// that runs have lazily cached so far, with a small fixed constant per
+// layer for activation sources and bookkeeping. The estimate is cheap
+// (no allocation, a few loads per layer) and monotone — the caches only
+// grow — so callers that account memory, like sreserved's byte-bounded
+// registry, can re-read it as the network warms up.
 func (n *Network) SizeBytes() int64 {
 	total := int64(4096)
 	for i := range n.built.Layers {
@@ -921,15 +920,14 @@ func (n *Network) RunBatch(modes []Mode, acts []ActivationSet, opts ...Option) (
 // over this network with that set's activations substituted; the batch
 // shares everything activation-independent across sets — compression
 // plans, scratch arenas, and (for the static modes, which never read
-// activation values) the entire simulation — so a coalesced sweep is
+// activation values) the entire simulation — so a batched sweep is
 // sub-linear in the number of sets. Sets of the network's own
 // activations also share its cached slice-mask planes; variant seeds
 // read their sources per window and cache nothing. Modes run
 // concurrently through one shared worker pool. Per-run options follow
 // RunContext's rules; WithProgress reports each mode's layers once
 // each, with the first set's LayerResult. Every other run method is a
-// batch of one set, and sreserved's micro-batcher runs its coalesced
-// requests through it.
+// batch of one set, as is each sweep sreserved runs for a request.
 func (n *Network) RunBatchContext(ctx context.Context, modes []Mode, acts []ActivationSet, opts ...Option) ([][]Result, error) {
 	if len(modes) == 0 {
 		return nil, fmt.Errorf("sre: a run needs at least one mode")

@@ -289,14 +289,14 @@ func TestRunBatchValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchedSweep measures the tentpole's sub-linearity claim
-// over four coalesced activation sets (the resident network's own
-// activations plus three variant seeds):
+// BenchmarkBatchedSweep measures RunBatchContext's sub-linearity claim
+// over four activation sets (the resident network's own activations
+// plus three variant seeds):
 //
 //   - Single: one sweep of the network's own activations — the
 //     fully-cached steady-state floor.
 //   - Separate4: the four sets swept independently, one batch call per
-//     set — what serving four requests without coalescing costs.
+//     set — what sreserved pays for four requests, each swept alone.
 //   - Batched4: the four sets as one batched sweep.
 //
 // Sub-linearity is Batched4 ns/op < Separate4 ns/op (the batch shares

@@ -114,15 +114,14 @@ func TestRunAllCodeCacheResultsIdentical(t *testing.T) {
 
 // TestFreshSeedBatchCachesNothing pins that only the network's own
 // activations are cached: a metered batch made only of variant seeds
-// looks no mask plane up, in its static or its DOF mode, and leaves the
-// network's accounted size where it was. The first own-activation run
-// then builds one plane per layer.
+// looks no mask plane up, in its static or its DOF mode, and leaves
+// every layer's mask cache empty. The first own-activation run then
+// builds one plane per layer.
 func TestFreshSeedBatchCachesNothing(t *testing.T) {
 	net, err := Load("MNIST", smallOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	size := net.SizeBytes()
 	reg := NewMetrics()
 	ctx := context.Background()
 	sets := []ActivationSet{{ActSeed: 101}, {ActSeed: 102}}
@@ -135,9 +134,12 @@ func TestFreshSeedBatchCachesNothing(t *testing.T) {
 			t.Fatalf("fresh-seed batch: sre_core_mask_cache_%s_total = %d, want 0", c, got)
 		}
 	}
-	if got := net.SizeBytes(); got != size {
-		t.Fatalf("fresh-seed batch moved SizeBytes %d -> %d", size, got)
+	for i := range net.built.Layers {
+		if got := net.built.Layers[i].Masks.ResidentBytes(); got != 0 {
+			t.Fatalf("fresh-seed batch cached %d mask-plane bytes in layer %d", got, i)
+		}
 	}
+	size := net.SizeBytes()
 	reg = NewMetrics()
 	if _, err := net.RunBatchContext(ctx, []Mode{Baseline, ORCDOF}, append(sets, ActivationSet{}), WithMetrics(reg)); err != nil {
 		t.Fatal(err)

@@ -176,9 +176,9 @@ func TestWithConfigMatchesOptions(t *testing.T) {
 	}
 }
 
-// TestRunModesContextSubset pins the batcher's primitive: a subset
-// sweep returns results in the requested order, each bit-identical to
-// the standalone run of that mode.
+// TestRunModesContextSubset pins the subset sweep a served request
+// runs: results come back in the requested order, each bit-identical
+// to the standalone run of that mode.
 func TestRunModesContextSubset(t *testing.T) {
 	net, err := Load("MNIST", smallOpts()...)
 	if err != nil {

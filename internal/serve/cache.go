@@ -4,10 +4,12 @@
 // yields a bit-identical Result (the invariant the golden tests and the
 // served bit-identity tests pin) — so once a sweep has computed a
 // (BatchKey, mode, act_seed) cell, every later request for it can be
-// answered without simulating. The server reads the cache twice: on
-// arrival, so a hit never waits for a sweep slot, and again once a
-// slot is held, so a request queued behind an identical running sweep
-// reuses its cells. The cache is a byte-accounted LRU: entries are
+// answered without simulating. A mode that reads no activation values
+// has one cell for every act_seed, so a fresh-seed request that
+// includes it adds entries only for its DOF modes. The server reads the
+// cache twice: on arrival, so a hit never waits for a sweep slot, and
+// again once a slot is held, so a request queued behind an identical
+// running sweep reuses its cells. The cache is a byte-accounted LRU: entries are
 // charged their estimated wire size, and past the configured cap the
 // least recently used results are dropped. Correctness is unaffected
 // by eviction — a miss just re-simulates — so the cap is purely a
@@ -35,11 +37,21 @@ type BatchKey struct {
 
 // resultCacheKey identifies one cached Result: the request's BatchKey
 // refined by the mode and the activation seed — exactly the tuple that
-// determines a Result bit-for-bit.
+// determines a Result bit-for-bit. Build keys with cellKey.
 type resultCacheKey struct {
 	BatchKey BatchKey
 	Mode     sre.Mode
 	ActSeed  uint64
+}
+
+// cellKey is the cache cell of mode's result at actSeed. A mode that
+// does not read activations (sre.Mode.ReadsActivations) gives the same
+// result under every seed, so all its seeds share act_seed 0's cell.
+func cellKey(key BatchKey, mode sre.Mode, actSeed uint64) resultCacheKey {
+	if !mode.ReadsActivations() {
+		actSeed = 0
+	}
+	return resultCacheKey{key, mode, actSeed}
 }
 
 // ResultCache is a bounded, byte-accounted LRU of served Results. A
@@ -83,9 +95,10 @@ func NewResultCache(capBytes int64, hits, misses, evictions *metrics.Counter, by
 }
 
 // Lookup serves a whole request from cache: all-or-nothing over the
-// requested modes at one activation seed, in request order. A full hit
-// counts len(modes) cache hits and refreshes the entries' recency; a
-// partial or empty hit counts nothing (the sweep that follows counts
+// requested modes at one activation seed, in request order. A static
+// mode is looked up in its one seed-independent cell (cellKey). A full
+// hit counts len(modes) cache hits and refreshes the entries' recency;
+// a partial or empty hit counts nothing (the sweep that follows counts
 // its cells through missed) and returns ok=false.
 func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool) {
 	if c == nil {
@@ -94,7 +107,7 @@ func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]
 	c.mu.Lock()
 	out := make([]sre.Result, len(modes))
 	for i, m := range modes {
-		el, ok := c.entries[resultCacheKey{key, m, actSeed}]
+		el, ok := c.entries[cellKey(key, m, actSeed)]
 		if !ok {
 			c.mu.Unlock()
 			return nil, false
@@ -102,7 +115,7 @@ func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]
 		out[i] = el.Value.(*resultCacheEntry).res
 	}
 	for _, m := range modes {
-		c.lru.MoveToFront(c.entries[resultCacheKey{key, m, actSeed}])
+		c.lru.MoveToFront(c.entries[cellKey(key, m, actSeed)])
 	}
 	c.mu.Unlock()
 	c.hits.Add(int64(len(modes)))
@@ -116,16 +129,17 @@ func (c *ResultCache) missed(n int) {
 	}
 }
 
-// Put caches one (mode, seed) cell of a completed sweep, evicting the
-// least recently used entries if the accounted bytes now exceed the
-// cap. A result bigger than the whole cap is not cached. Re-putting an
+// Put caches one (mode, seed) cell of a completed sweep (a static
+// mode's cell serves every seed; see cellKey), evicting the least
+// recently used entries if the accounted bytes now exceed the cap. A
+// result bigger than the whole cap is not cached. Re-putting an
 // existing key refreshes its recency (the value is necessarily
 // identical — results are deterministic).
 func (c *ResultCache) Put(key BatchKey, mode sre.Mode, actSeed uint64, res sre.Result) {
 	if c == nil {
 		return
 	}
-	k := resultCacheKey{key, mode, actSeed}
+	k := cellKey(key, mode, actSeed)
 	size := resultSizeBytes(res)
 	if size > c.cap {
 		return

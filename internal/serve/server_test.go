@@ -565,6 +565,62 @@ func TestActSeedServedMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestStaticModesShareSeedCells: a mode that reads no activations has
+// one result-cache cell for every act_seed, so a static request at a
+// new seed is a hit that equals the library's result, a DOF mode at a
+// new seed still sweeps, and a fresh-seed [baseline, orc+dof] request
+// adds one entry, not two.
+func TestStaticModesShareSeedCells(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	post := func(modes string, seed uint64) SimulateResponse {
+		t.Helper()
+		status, body := postSimulate(t, ts.URL, fmt.Sprintf(
+			`{"network":"MNIST","modes":[%s],"config":{"max_windows":6},"act_seed":%d}`, modes, seed))
+		if status != http.StatusOK {
+			t.Fatalf("modes [%s] act_seed %d: status %d: %s", modes, seed, status, body)
+		}
+		return decodeSimulate(t, body)
+	}
+	sweeps := func() float64 {
+		t.Helper()
+		return parseProm(t, promBody(t, ts.URL))["sre_serve_sweeps_total"]
+	}
+
+	if resp := post(`"baseline"`, 42); resp.Cached {
+		t.Fatal("the first baseline request was served from an empty cache")
+	}
+	before := sweeps()
+	resp := post(`"baseline"`, 41)
+	if !resp.Cached || sweeps() != before {
+		t.Errorf("baseline at act_seed 41 after 42: cached %v, sweeps %v → %v; want a hit and no sweep",
+			resp.Cached, before, sweeps())
+	}
+	grid, err := mnistDirect(t).RunBatchContext(context.Background(), []sre.Mode{sre.Baseline},
+		[]sre.ActivationSet{{ActSeed: 41}}, sre.WithMaxWindows(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.Results, grid[0]) {
+		t.Error("baseline served from act_seed 42's cell differs from the library's act_seed 41 result")
+	}
+
+	before = sweeps()
+	if resp := post(`"orc+dof"`, 43); resp.Cached || sweeps() != before+1 {
+		t.Errorf("orc+dof at a new act_seed: cached %v, sweeps %v → %v; want one sweep", resp.Cached, before, sweeps())
+	}
+
+	n := srv.cache.Len()
+	if resp := post(`"baseline","orc+dof"`, 44); resp.Cached {
+		t.Fatal("a fresh-seed orc+dof request was served from cache")
+	}
+	if got := srv.cache.Len(); got != n+1 {
+		t.Errorf("a fresh-seed [baseline, orc+dof] request grew the cache from %d to %d entries, want %d", n, got, n+1)
+	}
+}
+
 // failingWriter is a ResponseWriter whose body writes fail, as they do
 // once a client has gone.
 type failingWriter struct{ h http.Header }

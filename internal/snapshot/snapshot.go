@@ -212,6 +212,27 @@ type actsMeta struct {
 	Seed                           uint64
 }
 
+// check reports an activation field that the key fixes but a holds
+// otherwise: Build takes the code width from the quantization, the
+// sparsity and octave spreads from the spec, and gives each channel
+// between 1 and all of the layer's rows. NWindows is not checked: only
+// the topology knows it, and parsing one allocates every weight.
+func (a actsMeta) check(k Key, rows int) error {
+	switch {
+	case a.ABits != k.Quant.ABits:
+		return fmt.Errorf("%d-bit activations under %d-bit quantization", a.ABits, k.Quant.ABits)
+	case a.Sparsity != k.Spec.ActSparsity:
+		return fmt.Errorf("activation sparsity %v, spec says %v", a.Sparsity, k.Spec.ActSparsity)
+	case a.Octaves != k.Spec.ActOctaves:
+		return fmt.Errorf("activation octaves %v, spec says %v", a.Octaves, k.Spec.ActOctaves)
+	case a.ChanOctaves != k.Spec.ActChanOctaves:
+		return fmt.Errorf("channel octaves %v, spec says %v", a.ChanOctaves, k.Spec.ActChanOctaves)
+	case a.RowsPerChan < 1 || a.RowsPerChan > rows:
+		return fmt.Errorf("%d rows per channel outside [1, %d]", a.RowsPerChan, rows)
+	}
+	return nil
+}
+
 // Write serializes the built network b (built from inputs k) to w and
 // returns the byte count written. Only networks whose activation
 // sources are workload.SyntheticActs serialize; anything else returns
@@ -384,6 +405,9 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 		lm := &fm.Layers[i]
 		if lm.Rows <= 0 || lm.Cols <= 0 || lm.Acts.Rows != lm.Rows {
 			return zero, nil, fmt.Errorf("%w: layer %s has inconsistent meta", ErrCorrupt, lm.Name)
+		}
+		if err := lm.Acts.check(k, lm.Rows); err != nil {
+			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
 		}
 		planes, err := words(lm, lm.PlaneWords)
 		if err != nil {

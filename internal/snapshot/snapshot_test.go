@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sre/internal/mapping"
@@ -109,9 +110,10 @@ func TestDeterministicHashAndBytes(t *testing.T) {
 // right named error and never a panic or a silently-wrong network.
 func TestCorruptionPaths(t *testing.T) {
 	k := testKey(t)
-	data := snapshotBytes(t, k, buildKey(t, k))
+	b := buildKey(t, k)
+	data := snapshotBytes(t, k, b)
 
-	check := func(name string, mutate func([]byte) []byte, want error) {
+	check := func(name string, mutate func([]byte) []byte, want error) error {
 		t.Helper()
 		img := mutate(append([]byte(nil), data...))
 		_, _, err := Decode(img)
@@ -121,6 +123,7 @@ func TestCorruptionPaths(t *testing.T) {
 		if want != nil && !errors.Is(err, want) {
 			t.Fatalf("%s: got %v, want errors.Is(%v)", name, err, want)
 		}
+		return err
 	}
 
 	check("truncated header", func(b []byte) []byte { return b[:headerSize-1] }, ErrCorrupt)
@@ -148,6 +151,25 @@ func TestCorruptionPaths(t *testing.T) {
 		lm.Rows, lm.Cols, lm.Acts.Rows = 1<<40, 1<<40, 1<<40
 	}), ErrCorrupt)
 	check("dims that disagree with the plane", layer0(func(lm *layerMeta) { lm.Cols++ }), ErrCorrupt)
+	// Activation fields the key fixes. A hostile width or octave spread
+	// would push windowCodes' exponent past its fast path's range, and
+	// rows per channel past Rows would leave channel draws undefined.
+	for _, c := range []struct {
+		name string
+		edit func(*actsMeta)
+	}{
+		{"activation width off the quantization", func(a *actsMeta) { a.ABits = 40 }},
+		{"activation sparsity off the spec", func(a *actsMeta) { a.Sparsity = 0.5 }},
+		{"negative activation octaves", func(a *actsMeta) { a.Octaves = -64 }},
+		{"channel octaves off the spec", func(a *actsMeta) { a.ChanOctaves = 0 }},
+		{"no rows per channel", func(a *actsMeta) { a.RowsPerChan = 0 }},
+		{"more rows per channel than rows", func(a *actsMeta) { a.RowsPerChan = a.Rows + 1 }},
+	} {
+		err := check(c.name, layer0(func(lm *layerMeta) { c.edit(&lm.Acts) }), ErrCorrupt)
+		if !strings.Contains(err.Error(), "layer "+b.Layers[0].Name+":") {
+			t.Errorf("%s: error %q does not name layer %s", c.name, err, b.Layers[0].Name)
+		}
+	}
 	if _, _, err := Decode(reseal(t, data, func(*fileMeta) {})); err != nil {
 		t.Fatalf("an unedited re-sealed image does not decode: %v", err)
 	}

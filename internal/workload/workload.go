@@ -459,22 +459,27 @@ func (s *SyntheticActs) Windows() int { return s.NWindows }
 //
 // The definition takes, per channel, lnMax = Log(windowMax·Pow(2, y))
 // (y = −ChanOctaves·u) and, per row, v = Exp(lnMax·u'), clamped to
-// chanMax. The fast path forms lnA = Log(windowMax) + y·Ln2 instead. With
-// ε = 2⁻⁵², Go's Exp and Log err by under ε relative, Pow(2, y) (an Exp
-// of the fractional part, a reciprocal and a scaling that rounds only
-// into subnormals) by under 4ε, and each rounding by ε/2, so with
-// L = ln windowMax the two logarithms differ by at most
-// ε·(5 + L + |y·ln2| + 2|lnA|). Where the fast path accepts a row,
-// |y·ln2| and lnA are at most L, so the gap is at most (5+4L)ε, and the
-// two values of v, after the products' and the two Exps' roundings,
-// differ relatively by at most (7+5L)ε. When Octaves ≥ 0, L is at most
-// 11.1 for 16-bit activations and 44.4 for any width; it is at most 710
-// for any finite windowMax. The bound is then 1.4e-14 for 16-bit codes
-// and 8e-13 at worst, which 2⁻³⁶ ≈ 1.5e-11 exceeds 1000× and 18×.
-// Compiling Log(windowMax) + y·Ln2 as one fused multiply-add, as
-// GOAMD64=v3 may, only drops a rounding. The margin costs the exact path
-// on a fraction of about 2·exactTol·v of the rows, under two per million
-// for 16-bit codes.
+// chanMax. The fast path forms lnA = Log(windowMax) + y·Ln2 instead,
+// and v = tableExp(lnA·u'). With ε = 2⁻⁵², Go's Exp and Log err by
+// under ε relative, Pow(2, y) (an Exp of the fractional part, a
+// reciprocal and a scaling that rounds only into subnormals) by under
+// 4ε, and each rounding by ε/2, so with L = ln windowMax the two
+// logarithms differ by at most ε·(5 + L + |y·ln2| + 2|lnA|). Where the
+// fast path accepts a row, |y·ln2| and lnA are at most L, so the gap is
+// at most (5+4L)ε, and the two values of v, after the products' and the
+// two exponentials' roundings, differ relatively by at most
+// (7+5L)ε + δ, where δ = expTableErr ≈ 12.2ε is tableExp's error bound.
+// When Octaves ≥ 0, L is at most 11.1 for 16-bit activations and 22.2
+// for 32-bit ones; it is at most 710 for any finite windowMax. The bound
+// is then 1.7e-14 for 16-bit codes, 2.9e-14 for 32-bit ones and 8e-13
+// at worst, which 2⁻³⁶ ≈ 1.5e-11 exceeds 870×, 500× and 18×. Compiling
+// Log(windowMax) + y·Ln2 or tableExp's steps as fused multiply-adds, as
+// GOAMD64=v3 may, only drops roundings. tableExp is proven only on
+// [0, expTableMax], so a channel whose lnA lies above that, which takes
+// negative Octaves or codes wider than 32 bits, is resolved exactly. The
+// margin costs the exact path on a fraction of about 2·exactTol·v of
+// the rows: under two per million for 16-bit codes, and about one in
+// eight of the largest 32-bit ones.
 const exactTol = 1.0 / (1 << 36)
 
 // WindowCodes implements core.ActivationSource.
@@ -483,68 +488,161 @@ func (s *SyntheticActs) WindowCodes(w int, dst []uint32) {
 }
 
 // windowCodes fills dst with window w's codes: the arithmetic
-// SyntheticActs defines, without its per-channel Pow and Log. Each
-// channel takes lnA = Log(windowMax) + y·Ln2 in place of the exact
-// lnMax, and each non-zero row keeps floor(Exp(lnA·u)) when it is
-// provably the defined code: lnA·(1−u) > tol, so the chanMax clamp
-// cannot fire, and the value lies farther than tol·v from both
-// neighbouring integers. A channel with lnA < −tol is clamped to
-// chanMax = 1 by the definition too. Any other channel, or the rest of
-// a channel from a row that fails the test, is resolved exactly. The
-// RNG draws are the definition's, in its order. tol = +Inf forces every
-// channel onto the exact arithmetic; see exactTol for the bound.
+// SyntheticActs defines, without its per-channel Pow and Log and, on
+// almost every row, without its Exp. Each channel takes
+// lnA = Log(windowMax) + y·Ln2 in place of the exact lnMax, and each
+// non-zero row keeps v = tableExp(lnA·u) truncated by a uint32
+// conversion when that is provably the defined code: lnA·(1−u) > tol,
+// so the chanMax clamp cannot fire, and v lies farther than tol·v from
+// both neighbouring integers. A channel with lnA < −tol is clamped to
+// chanMax = 1 by the definition too. Any other channel, including one
+// whose lnA is above expTableMax or NaN, or the rest of a channel from a
+// row that fails the test, is resolved exactly. The RNG draws are the
+// definition's, in its order, stepped with xrand.Next on a generator
+// held in local variables; a row is zero when its draw's top 53 bits
+// fall below zeroBelow(Sparsity), which is Bernoulli(Sparsity) exactly.
+// tol = +Inf forces every channel onto the exact arithmetic; see
+// exactTol for the bound.
 func (s *SyntheticActs) windowCodes(w int, dst []uint32, tol float64) {
 	if len(dst) != s.Rows {
 		panic(fmt.Sprintf("workload: window wants %d rows, got %d", s.Rows, len(dst)))
 	}
-	r := xrand.New(s.Seed + uint64(w)*0x9e3779b97f4a7c15)
+	r := *xrand.New(s.Seed + uint64(w)*0x9e3779b97f4a7c15)
+	var x uint64
 	globalMax := float64(uint64(1)<<uint(s.ABits) - 1)
-	windowMax := globalMax * math.Pow(2, -s.Octaves*r.Float64())
+	r, x = xrand.Next(r)
+	windowMax := globalMax * math.Pow(2, -s.Octaves*unit(x))
 	if windowMax < 1 {
 		windowMax = 1
 	}
 	lnW := math.Log(windowMax)
+	zeroCut := zeroBelow(s.Sparsity)
+	chanOctaves := s.ChanOctaves
 	rpc := s.RowsPerChan
 	if rpc <= 0 {
 		rpc = 1
 	}
-	for c := 0; c < len(dst); c += rpc {
-		y := 0.0 // the channel's shift in octaves; Pow(2, 0) is exactly 1
-		if s.ChanOctaves > 0 {
-			y = -s.ChanOctaves * r.Float64()
-		}
-		lnA := lnW + y*math.Ln2
-		// Negated tests, so that a NaN lnA takes the exact arithmetic.
-		exact := !(lnA > tol)
-		chanMax, lnMax := 1.0, 0.0
-		if exact && !(lnA < -tol) {
-			chanMax, lnMax = chanScale(windowMax, y)
-		}
-		end := min(c+rpc, len(dst))
-		for i := c; i < end; i++ {
-			if r.Bernoulli(s.Sparsity) {
-				dst[i] = 0
-				continue
+	var y, lnA, chanMax, lnMax float64
+	exact := false
+	left := 0 // rows left in the current channel
+	for i := range dst {
+		if left == 0 {
+			left = rpc
+			y = 0 // the channel's shift in octaves; Pow(2, 0) is exactly 1
+			if chanOctaves > 0 {
+				r, x = xrand.Next(r)
+				y = -chanOctaves * unit(x)
 			}
-			u := r.Float64()
-			if !exact {
-				if lnA*(1-u) > tol {
-					v := math.Exp(lnA * u)
-					if f := math.Floor(v); v-f > tol*v && f+1-v > tol*v {
-						dst[i] = uint32(v)
-						continue
-					}
-				}
+			lnA = lnW + y*math.Ln2
+			// Negated tests, so that a NaN lnA takes the exact arithmetic.
+			exact = !(lnA > tol && lnA <= expTableMax)
+			chanMax, lnMax = 1.0, 0.0
+			if exact && !(lnA < -tol) {
 				chanMax, lnMax = chanScale(windowMax, y)
-				exact = true
 			}
-			v := math.Exp(lnMax * u) // log-uniform in [1, chanMax]
-			if v > chanMax {
-				v = chanMax
-			}
-			dst[i] = uint32(v)
 		}
+		left--
+		r, x = xrand.Next(r)
+		if x>>11 < zeroCut {
+			dst[i] = 0
+			continue
+		}
+		r, x = xrand.Next(r)
+		u := unit(x)
+		if !exact {
+			if lnA*(1-u) > tol {
+				v := tableExp(lnA * u)
+				n := uint32(v)
+				if f := float64(n); v-f > tol*v && f+1-v > tol*v {
+					dst[i] = n
+					continue
+				}
+			}
+			chanMax, lnMax = chanScale(windowMax, y)
+			exact = true
+		}
+		v := math.Exp(lnMax * u) // log-uniform in [1, chanMax]
+		if v > chanMax {
+			v = chanMax
+		}
+		dst[i] = uint32(v)
 	}
+}
+
+// unit is xrand's Float64 of the draw x: its top 53 bits scaled into
+// [0, 1).
+func unit(x uint64) float64 { return float64(x>>11) * (1.0 / (1 << 53)) }
+
+// zeroBelow returns the integer threshold that makes x>>11 < zeroBelow(p)
+// hold exactly when unit(x) < p, the test xrand's Bernoulli(p) makes.
+// unit(x) is (x>>11)·2⁻⁵³, and scaling either side by 2^±53 is exact, so
+// the test is x>>11 < p·2⁵³, which for an integer is x>>11 < ⌈p·2⁵³⌉. A p
+// that is NaN or at most 0 is never exceeded, and one of at least 1
+// always is.
+func zeroBelow(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// expTableMax is the top of tableExp's proven range, 32·ln 2: e to it is
+// 2³², so every code of up to 32 bits has its exponent below it.
+const expTableMax = 32 * math.Ln2
+
+// expTableErr is δ, the bound on tableExp's error relative to e^x over
+// [0, expTableMax]. With x = k·ln2/32 + r, k within 0.5 + 3e-13 of
+// x·32/ln2 so |r| ≤ ln2/64 to 1e-12 relative, the degree-5 Taylor
+// polynomial's remainder is at most e^|r|·|r|⁶/720 < 2.27e-15 relative.
+// k·ln2Hi32 is exact (k ≤ 2¹⁰ and ln2Hi32 has 32 significant bits) and
+// within a factor of about two of x, so subtracting it rounds at most
+// once, and r errs by under ε·|r| plus k times the split's residue, in
+// all under 3e-18 relative to e^r. Horner's roundings add under 1.05·ε/2
+// relative (|r| < 0.011 damps each inner one), the correctly rounded
+// table entry ε/2, the final product ε/2, and adding k div 32 into the
+// entry's exponent nothing. The total is under 2.27e-15 + 3.07·ε/2 <
+// 2.62e-15, stated here with margin. A compiler that fuses any of these
+// multiply-adds only drops roundings, and the integer-valued t stays
+// integer-valued.
+const expTableErr = 2.7e-15
+
+// ln2Hi32 + ln2Lo32 is ln2/32 split for Cody–Waite reduction: ln2Hi32
+// holds its leading 32 bits, so k·ln2Hi32 is exact for every k up to
+// 2²¹, and ln2Lo32 the rest.
+const (
+	ln2Hi32 = 0x1.62e42feep-6
+	ln2Lo32 = 0x1.a39ef35793c76p-38
+)
+
+// exp2Frac[j] is the bit pattern of 2^(j/32), correctly rounded
+// (TestExp2FracCorrectlyRounded).
+var exp2Frac = [32]uint64{
+	0x3ff0000000000000, 0x3ff059b0d3158574, 0x3ff0b5586cf9890f, 0x3ff11301d0125b51,
+	0x3ff172b83c7d517b, 0x3ff1d4873168b9aa, 0x3ff2387a6e756238, 0x3ff29e9df51fdee1,
+	0x3ff306fe0a31b715, 0x3ff371a7373aa9cb, 0x3ff3dea64c123422, 0x3ff44e086061892d,
+	0x3ff4bfdad5362a27, 0x3ff5342b569d4f82, 0x3ff5ab07dd485429, 0x3ff6247eb03a5585,
+	0x3ff6a09e667f3bcd, 0x3ff71f75e8ec5f74, 0x3ff7a11473eb0187, 0x3ff82589994cce13,
+	0x3ff8ace5422aa0db, 0x3ff93737b0cdc5e5, 0x3ff9c49182a3f090, 0x3ffa5503b23e255d,
+	0x3ffae89f995ad3ad, 0x3ffb7f76f2fb5e47, 0x3ffc199bdd85529c, 0x3ffcb720dcef9069,
+	0x3ffd5818dcfba487, 0x3ffdfc97337b9b5f, 0x3ffea4afa2a490da, 0x3fff50765b6e4540,
+}
+
+// tableExp returns e^x for x in [0, expTableMax] with relative error
+// under expTableErr, cheaply enough to inline. Adding 1.5·2⁵² to
+// x·32/ln2 rounds it to the nearest integer k and leaves k in the low
+// bits of t; then e^x = 2^(k div 32) · 2^(k mod 32 / 32) · e^r, with
+// r = x − k·ln2/32, the middle factor from exp2Frac, the first added
+// into its exponent, and e^r from a degree-5 Taylor polynomial. Outside
+// that range the result is unspecified.
+func tableExp(x float64) float64 {
+	t := x*(32/math.Ln2) + 0x1.8p52
+	fk := t - 0x1.8p52
+	r := x - fk*ln2Hi32 - fk*ln2Lo32
+	k := math.Float64bits(t)
+	return math.Float64frombits(exp2Frac[k&31]+k>>5<<52) * (1 + r*(1+r*(1.0/2+r*(1.0/6+r*(1.0/24+r*(1.0/120))))))
 }
 
 // chanScale is a channel's exact maximum, windowMax·2^y but at least 1,

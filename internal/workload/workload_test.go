@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/big"
 	"testing"
 
 	"sre/internal/core"
@@ -401,15 +402,16 @@ func TestWindowCodesMatchesReferenceTable2(t *testing.T) {
 }
 
 // randomActs draws a SyntheticActs over the whole parameter space,
-// edges included: 1- to 16-bit codes, all-zero and zero-free windows,
-// no channel spread, RowsPerChan ≤ 0 or beyond Rows, and Octaves large
-// enough that windowMax clamps to 1.
+// edges included: 1- to 32-bit codes (every width quant.Validate
+// allows, so tableExp is checked up to the top of its range), all-zero
+// and zero-free windows, no channel spread, RowsPerChan ≤ 0 or beyond
+// Rows, and Octaves large enough that windowMax clamps to 1.
 func randomActs(r *xrand.RNG) *SyntheticActs {
 	s := &SyntheticActs{
 		Rows:        r.Intn(160),
 		NWindows:    1 << 20,
 		RowsPerChan: r.Intn(24) - 2,
-		ABits:       1 + r.Intn(16),
+		ABits:       1 + r.Intn(32),
 		Seed:        r.Uint64(),
 	}
 	switch r.Intn(4) {
@@ -452,6 +454,7 @@ func FuzzWindowCodes(f *testing.F) {
 	f.Add(uint64(2), uint32(7), uint16(576), int16(9), uint8(16), 0.46, 15.0, 12.0)
 	f.Add(uint64(3), uint32(1), uint16(4096), int16(0), uint8(1), 0.0, 0.0, 0.0)
 	f.Add(uint64(4), uint32(3), uint16(300), int16(-3), uint8(8), 1.0, 40.0, 0.0)
+	f.Add(uint64(5), uint32(11), uint16(1152), int16(9), uint8(31), 0.41, 11.0, 7.0)
 	f.Fuzz(func(t *testing.T, seed uint64, w uint32, rows uint16, rpc int16, abits uint8, sparsity, octaves, chanOctaves float64) {
 		for _, x := range []float64{sparsity, octaves, chanOctaves} {
 			if !(x >= 0 && x <= math.MaxFloat64) {
@@ -465,10 +468,123 @@ func FuzzWindowCodes(f *testing.F) {
 			Octaves:     octaves,
 			ChanOctaves: chanOctaves,
 			RowsPerChan: int(rpc),
-			ABits:       1 + int(abits%16),
+			ABits:       1 + int(abits%32),
 			Seed:        seed,
 		}, int(w))
 	})
+}
+
+// bigExp returns e^x to 128 bits by its Taylor series, every term of
+// which is positive for x ≥ 0, so no precision is lost to cancellation.
+func bigExp(x float64) *big.Float {
+	const prec = 128
+	bx := new(big.Float).SetPrec(prec).SetFloat64(x)
+	sum := new(big.Float).SetPrec(prec).SetInt64(1)
+	term := new(big.Float).SetPrec(prec).SetInt64(1)
+	for k := int64(1); term.Sign() > 0 && term.MantExp(nil) > sum.MantExp(nil)-prec; k++ {
+		term.Mul(term, bx)
+		term.Quo(term, new(big.Float).SetPrec(prec).SetInt64(k))
+		sum.Add(sum, term)
+	}
+	return sum
+}
+
+// TestExp2FracCorrectlyRounded checks tableExp's table against 2^(j/32)
+// computed to 256 bits: each entry must be that value rounded to
+// nearest, as expTableErr's derivation assumes.
+func TestExp2FracCorrectlyRounded(t *testing.T) {
+	const prec = 256
+	root := new(big.Float).SetPrec(prec).SetInt64(2)
+	for i := 0; i < 5; i++ {
+		root.Sqrt(root)
+	}
+	v := new(big.Float).SetPrec(prec).SetInt64(1)
+	for j, bits := range exp2Frac {
+		if want, _ := v.Float64(); math.Float64bits(want) != bits {
+			t.Errorf("exp2Frac[%d] = %#016x, want %#016x (%x)", j, bits, math.Float64bits(want), want)
+		}
+		v.Mul(v, root)
+	}
+}
+
+// TestTableExpWithinBound checks tableExp against e^x over its whole
+// range [0, expTableMax]: at every table knot k·ln2/32, every midpoint
+// between knots (where the reduction switches k) and two ulps either
+// side against a 128-bit reference, which must hold it to expTableErr; and on a dense grid and
+// at random points against math.Exp, which itself errs by under one
+// ulp, so there the allowance is expTableErr + 2⁻⁵².
+func TestTableExpWithinBound(t *testing.T) {
+	relBig := func(x float64) float64 {
+		want := bigExp(x)
+		diff := new(big.Float).SetPrec(128).SetFloat64(tableExp(x))
+		diff.Sub(diff, want).Quo(diff, want)
+		rel, _ := diff.Float64()
+		return math.Abs(rel)
+	}
+	worst := 0.0
+	check := func(x, rel, bound float64) {
+		t.Helper()
+		worst = max(worst, rel)
+		if !(rel <= bound) {
+			t.Fatalf("tableExp(%v) = %v errs by %.3g relative, over the %.3g allowed", x, tableExp(x), rel, bound)
+		}
+	}
+	for k := 0; k <= 1024; k++ {
+		knot := float64(k) * (math.Ln2 / 32)
+		for _, x := range []float64{knot, knot + math.Ln2/64, knot - math.Ln2/64} {
+			for d := -2; d <= 2; d++ {
+				y := math.Float64frombits(uint64(int64(math.Float64bits(x)) + int64(d)))
+				if y >= 0 && y <= expTableMax {
+					check(y, relBig(y), expTableErr)
+				}
+			}
+		}
+	}
+	relExp := func(x float64) float64 {
+		want := math.Exp(x)
+		return math.Abs(tableExp(x)-want) / want
+	}
+	const n = 1 << 20
+	for i := 0; i <= n; i++ {
+		x := expTableMax * float64(i) / n
+		check(x, relExp(x), expTableErr+0x1p-52)
+	}
+	r := xrand.New(25)
+	for i := 0; i < 1<<18; i++ {
+		x := expTableMax * r.Float64()
+		check(x, relExp(x), expTableErr+0x1p-52)
+	}
+	check(expTableMax, relExp(expTableMax), expTableErr+0x1p-52)
+	t.Logf("worst relative error seen: %.3g (δ = %.3g)", worst, expTableErr)
+}
+
+// TestZeroBelowMatchesBernoulli checks the integer zero test against
+// xrand's Bernoulli on the same draws, at the probabilities whose
+// thresholds are edges, their float64 neighbours and invalid ones, and
+// at the draws on either side of each threshold.
+func TestZeroBelowMatchesBernoulli(t *testing.T) {
+	var ps []float64
+	for _, p := range []float64{0, 0x1p-53, 0.37, 0.5, 1 - 0x1p-53, 1} {
+		ps = append(ps, p, math.Nextafter(p, math.Inf(-1)), math.Nextafter(p, math.Inf(1)))
+	}
+	ps = append(ps, -0.1, 1.5, math.NaN())
+	for _, p := range ps {
+		zb := zeroBelow(p)
+		a, b := xrand.New(7), xrand.New(7)
+		for i := 0; i < 4096; i++ {
+			if want, got := a.Bernoulli(p), b.Uint64()>>11 < zb; got != want {
+				t.Fatalf("p = %v (%#x), draw %d: integer test says %v, Bernoulli %v", p, math.Float64bits(p), i, got, want)
+			}
+		}
+		for _, k := range []uint64{0, 1, zb - 1, zb, zb + 1, 1<<53 - 1} {
+			if k >= 1<<53 {
+				continue
+			}
+			if want, got := unit(k<<11) < p, k < zb; got != want {
+				t.Fatalf("p = %v (%#x), draw %#x: integer test says %v, Float64 < p %v", p, math.Float64bits(p), k<<11, got, want)
+			}
+		}
+	}
 }
 
 // codeDigest is FNV-1a 64 over every code of every source at 12

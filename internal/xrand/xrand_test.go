@@ -15,6 +15,20 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestNextMatchesUint64: stepping a generator held by value gives the
+// pointer method's stream, draw for draw and state for state.
+func TestNextMatchesUint64(t *testing.T) {
+	a := New(42)
+	b := *New(42)
+	var x uint64
+	for i := 0; i < 1000; i++ {
+		want := a.Uint64()
+		if b, x = Next(b); x != want || b != *a {
+			t.Fatalf("draw %d: Next gave %#x, Uint64 %#x", i, x, want)
+		}
+	}
+}
+
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0

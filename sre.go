@@ -162,6 +162,15 @@ func (m *Mode) UnmarshalText(text []byte) error {
 	return nil
 }
 
+// ReadsActivations reports whether m's results depend on activation
+// values, and so on an ActivationSet's ActSeed: true exactly for the
+// modes with Dynamic OU Formation (dof, orc+dof, orc+dof+wss). The
+// static modes count every OU of their weight plans whatever the inputs
+// hold, so their results are the same under every seed.
+func (m Mode) ReadsActivations() bool {
+	return m.valid() && modeTable[m].core.DOF
+}
+
 func (m Mode) coreMode() (core.Mode, error) {
 	if !m.valid() {
 		return core.Mode{}, fmt.Errorf("sre: unknown mode %d", int(m))

@@ -100,6 +100,28 @@ func TestRunBatchMatchesSeparateSweeps(t *testing.T) {
 	}
 }
 
+// TestReadsActivationsMatchesSeedDependence ties Mode.ReadsActivations,
+// which lets sreserved share one result-cache cell among a static mode's
+// act_seeds, to the simulator: each mode run alone the long way under
+// two activation seeds gives equal results exactly when the predicate
+// says it does not read activations.
+func TestReadsActivationsMatchesSeedDependence(t *testing.T) {
+	net, err := Load("MNIST", smallOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range Modes() {
+		a, b := separateSweep(t, net, m, 41, 2), separateSweep(t, net, m, 42, 2)
+		if same := reflect.DeepEqual(a, b); same == m.ReadsActivations() {
+			t.Errorf("mode %v: ReadsActivations() = %v, but results under two seeds equal = %v",
+				m, m.ReadsActivations(), same)
+		}
+	}
+	if Mode(len(Modes())).ReadsActivations() {
+		t.Error("an unregistered mode reads activations")
+	}
+}
+
 // TestVariantSourcesIdentity pins the seed-derivation contract the
 // batch API builds on: re-deriving the activation sources from the
 // build seed itself reproduces the built-in sources field-for-field —

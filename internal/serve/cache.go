@@ -9,11 +9,12 @@
 // includes it adds entries only for its DOF modes. The server reads the
 // cache twice: on arrival, so a hit never waits for a sweep slot, and
 // again once a slot is held, so a request queued behind an identical
-// running sweep reuses its cells. The cache is a byte-accounted LRU: entries are
-// charged their estimated wire size, and past the configured cap the
-// least recently used results are dropped. Correctness is unaffected
-// by eviction — a miss just re-simulates — so the cap is purely a
-// memory bound.
+// running sweep reuses its cells. Reads are per cell: a request whose
+// cells are partly cached sweeps only the modes the cache lacks. The
+// cache is a byte-accounted LRU: entries are charged their estimated
+// wire size, and past the configured cap the least recently used
+// results are dropped. Correctness is unaffected by eviction — a miss
+// just re-simulates — so the cap is purely a memory bound.
 package serve
 
 import (
@@ -94,38 +95,43 @@ func NewResultCache(capBytes int64, hits, misses, evictions *metrics.Counter, by
 	}
 }
 
-// Lookup serves a whole request from cache: all-or-nothing over the
-// requested modes at one activation seed, in request order. A static
-// mode is looked up in its one seed-independent cell (cellKey). A full
-// hit counts len(modes) cache hits and refreshes the entries' recency;
-// a partial or empty hit counts nothing (the sweep that follows counts
-// its cells through missed) and returns ok=false.
-func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool) {
+// Lookup reads a request's cells at one activation seed, per cell:
+// res holds, in request order, the cached result of every mode the
+// cache has, and missing lists, in ascending order, the indexes of the
+// modes it lacks (every index for a nil cache). A static mode is looked
+// up in its one seed-independent cell (cellKey). Every hit refreshes its
+// entry's recency. Lookup counts nothing: the caller tallies the read
+// that answers the request.
+func (c *ResultCache) Lookup(key BatchKey, modes []sre.Mode, actSeed uint64) (res []sre.Result, missing []int) {
+	res = make([]sre.Result, len(modes))
 	if c == nil {
-		return nil, false
+		for i := range modes {
+			missing = append(missing, i)
+		}
+		return res, missing
 	}
 	c.mu.Lock()
-	out := make([]sre.Result, len(modes))
+	defer c.mu.Unlock()
 	for i, m := range modes {
 		el, ok := c.entries[cellKey(key, m, actSeed)]
 		if !ok {
-			c.mu.Unlock()
-			return nil, false
+			missing = append(missing, i)
+			continue
 		}
-		out[i] = el.Value.(*resultCacheEntry).res
+		c.lru.MoveToFront(el)
+		res[i] = el.Value.(*resultCacheEntry).res
 	}
-	for _, m := range modes {
-		c.lru.MoveToFront(c.entries[cellKey(key, m, actSeed)])
-	}
-	c.mu.Unlock()
-	c.hits.Add(int64(len(modes)))
-	return out, true
+	return res, missing
 }
 
-// missed counts n cells about to be swept.
-func (c *ResultCache) missed(n int) {
+// tally counts one answered request's cells: hits served from the
+// cache, misses about to be swept. The server calls it once per
+// request, after the cache read that decides what to sweep, so each
+// answered request adds its mode count to the two counters.
+func (c *ResultCache) tally(hits, misses int) {
 	if c != nil {
-		c.misses.Add(int64(n))
+		c.hits.Add(int64(hits))
+		c.misses.Add(int64(misses))
 	}
 }
 

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +20,8 @@ import (
 // contract, end to end: the identical request repeated is served from
 // the cache (cached=true), bit-identical to both the first response
 // and a direct library run, WITHOUT moving sre_serve_sweeps_total.
+// Both replies are compact JSON and a newline, byte for byte what
+// json.Marshal makes of them, and differ only in "cached".
 func TestCachedRepeatBitIdenticalNoSweep(t *testing.T) {
 	srv := NewServer(Options{})
 	ts := httptest.NewServer(srv)
@@ -32,6 +36,7 @@ func TestCachedRepeatBitIdenticalNoSweep(t *testing.T) {
 	if first.Cached {
 		t.Fatal("first request reported cached=true")
 	}
+	sweptBody := body
 
 	status, body = postSimulate(t, ts.URL, req)
 	if status != http.StatusOK {
@@ -40,6 +45,22 @@ func TestCachedRepeatBitIdenticalNoSweep(t *testing.T) {
 	second := decodeSimulate(t, body)
 	if !second.Cached {
 		t.Fatal("repeated identical request was not served from the cache")
+	}
+	for _, r := range []struct {
+		name string
+		body []byte
+		resp SimulateResponse
+	}{{"swept", sweptBody, first}, {"cached", body, second}} {
+		want, err := json.Marshal(r.resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.body, append(want, '\n')) {
+			t.Errorf("%s reply is not compact JSON and a newline:\n got %.300q\nwant %.300q", r.name, r.body, append(want, '\n'))
+		}
+	}
+	if got := bytes.Replace(sweptBody, []byte(`"cached":false`), []byte(`"cached":true`), 1); !bytes.Equal(got, body) {
+		t.Errorf("the cached reply differs from the swept one beyond \"cached\"")
 	}
 	if !reflect.DeepEqual(first.Results, second.Results) {
 		t.Fatalf("cached results differ from swept ones\n got %+v\nwant %+v",
@@ -68,6 +89,60 @@ func TestCachedRepeatBitIdenticalNoSweep(t *testing.T) {
 	}
 	if vals["sre_serve_result_cache_bytes"] <= 0 {
 		t.Error("result_cache_bytes gauge never moved")
+	}
+}
+
+// TestPartialHitSweepsOnlyMissingModes: a request whose baseline cell
+// is cached (baseline reads no activations, so act_seed 42's sweep
+// filled the cell every seed shares) but whose orc+dof cell is not
+// sweeps only orc+dof. It reports cached=false, since a sweep ran, runs
+// no baseline layer, counts one hit and one miss, and answers in
+// request order with the library's results at its own seed.
+func TestPartialHitSweepsOnlyMissingModes(t *testing.T) {
+	srv := NewServer(Options{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if status, body := postSimulate(t, ts.URL,
+		`{"network":"MNIST","modes":["baseline"],"config":{"max_windows":6},"act_seed":42}`); status != http.StatusOK {
+		t.Fatalf("baseline request: status %d: %s", status, body)
+	}
+	const baselineLayers = `sre_core_layers_total{mode="baseline"}`
+	before := parseProm(t, promBody(t, ts.URL))
+	if before[baselineLayers] == 0 {
+		t.Fatalf("%s is 0 after a baseline sweep; the series name is wrong", baselineLayers)
+	}
+	status, body := postSimulate(t, ts.URL,
+		`{"network":"MNIST","modes":["orc+dof","baseline"],"config":{"max_windows":6},"act_seed":43}`)
+	if status != http.StatusOK {
+		t.Fatalf("partial-hit request: status %d: %s", status, body)
+	}
+	resp := decodeSimulate(t, body)
+	after := parseProm(t, promBody(t, ts.URL))
+
+	if resp.Cached {
+		t.Error("a partial hit that swept reported cached=true")
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+	}{
+		{"sre_serve_sweeps_total", 1},
+		{baselineLayers, 0},
+		{"sre_serve_result_cache_hits_total", 1},
+		{"sre_serve_result_cache_misses_total", 1},
+	} {
+		if got := after[c.name] - before[c.name]; got != c.want {
+			t.Errorf("%s moved by %v, want %v", c.name, got, c.want)
+		}
+	}
+	grid, err := mnistDirect(t).RunBatchContext(context.Background(), []sre.Mode{sre.ORCDOF, sre.Baseline},
+		[]sre.ActivationSet{{ActSeed: 43}}, sre.WithMaxWindows(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resp.Results, grid[0]) {
+		t.Error("partial-hit results differ from the library's RunBatchContext at act_seed 43, in request order")
 	}
 }
 
@@ -137,6 +212,10 @@ func TestResultCacheEviction(t *testing.T) {
 	c := NewResultCache(2*one+one/2, shard.Counter("hits"), shard.Counter("misses"), evictions, shard.Gauge("bytes"))
 
 	key := func(i int) BatchKey { return BatchKey{MaxWindows: i} }
+	cached := func(i int) bool {
+		_, missing := c.Lookup(key(i), []sre.Mode{sre.Baseline}, 0)
+		return len(missing) == 0
+	}
 	for i := 0; i < 5; i++ {
 		c.Put(key(i), sre.Baseline, 0, res)
 		if c.Bytes() > 2*one+one/2 {
@@ -149,30 +228,30 @@ func TestResultCacheEviction(t *testing.T) {
 	if got := reg.Snapshot().Counters["evictions"]; got != 3 {
 		t.Fatalf("evictions = %d, want 3", got)
 	}
-	if _, ok := c.Lookup(key(0), []sre.Mode{sre.Baseline}, 0); ok {
+	if cached(0) {
 		t.Fatal("evicted entry still served")
 	}
 	for i := 3; i < 5; i++ {
-		if _, ok := c.Lookup(key(i), []sre.Mode{sre.Baseline}, 0); !ok {
+		if !cached(i) {
 			t.Fatalf("recent entry %d was evicted", i)
 		}
 	}
 
 	// Recency: touching the older survivor makes the newer one the
 	// eviction victim on the next insert.
-	c.Lookup(key(3), []sre.Mode{sre.Baseline}, 0)
+	cached(3)
 	c.Put(key(5), sre.Baseline, 0, res)
-	if _, ok := c.Lookup(key(3), []sre.Mode{sre.Baseline}, 0); !ok {
+	if !cached(3) {
 		t.Fatal("recently-touched entry was evicted instead of the LRU one")
 	}
-	if _, ok := c.Lookup(key(4), []sre.Mode{sre.Baseline}, 0); ok {
+	if cached(4) {
 		t.Fatal("LRU entry survived past the cap")
 	}
 
 	// An entry bigger than the whole cap is refused outright.
 	big := sre.Result{Layers: make([]sre.LayerResult, 4096)}
 	c.Put(key(6), sre.Baseline, 0, big)
-	if _, ok := c.Lookup(key(6), []sre.Mode{sre.Baseline}, 0); ok {
+	if cached(6) {
 		t.Fatal("cached an entry larger than the cap")
 	}
 }
@@ -185,9 +264,10 @@ func TestResultCacheNil(t *testing.T) {
 		t.Fatal("NewResultCache(0) != nil")
 	}
 	c.Put(BatchKey{}, sre.Baseline, 0, sre.Result{})
-	c.missed(1)
-	if _, ok := c.Lookup(BatchKey{}, []sre.Mode{sre.Baseline}, 0); ok {
-		t.Fatal("nil cache returned a hit")
+	c.tally(1, 1)
+	modes := []sre.Mode{sre.Baseline, sre.ORCDOF}
+	if res, missing := c.Lookup(BatchKey{}, modes, 0); len(res) != len(modes) || !reflect.DeepEqual(missing, []int{0, 1}) {
+		t.Fatalf("nil cache Lookup = %d results, missing %v; want %d results and every index missing", len(res), missing, len(modes))
 	}
 	if c.Len() != 0 || c.Bytes() != 0 {
 		t.Fatal("nil cache reports contents")

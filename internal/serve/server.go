@@ -2,12 +2,12 @@
 // HTTP/JSON front end over the sre library that keeps built networks
 // resident (registry.go), admits a bounded number of concurrent
 // requests (admission.go), answers each one from a deterministic
-// result cache (cache.go) or by one sweep of its own, and drains
-// gracefully on shutdown. One process amortizes Load's workload
-// synthesis and the simulator's plan and slice-mask caches across
-// every request that hits the same design point — the serving shape
-// ReRAM accelerator stacks assume, where the compressed structures are
-// built once and reused.
+// result cache (cache.go) and one sweep of its own over the modes the
+// cache lacks, and drains gracefully on shutdown. One process
+// amortizes Load's workload synthesis and the simulator's plan and
+// slice-mask caches across every request that hits the same design
+// point — the serving shape ReRAM accelerator stacks assume, where
+// the compressed structures are built once and reused.
 package serve
 
 import (
@@ -15,10 +15,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"slices"
-	"sync"
 	"time"
 
 	"sre"
@@ -269,7 +267,7 @@ type SimulateResponse struct {
 	Network   string       `json:"network"`
 	Prune     string       `json:"prune"`
 	BatchSize int          `json:"batch_size"` // always 1: no request shares another's sweep
-	Cached    bool         `json:"cached"`     // served from the result cache, no sweep
+	Cached    bool         `json:"cached"`     // every cell served from the result cache, no sweep
 	Results   []sre.Result `json:"results"`
 }
 
@@ -396,15 +394,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // simulate answers one request: from the result cache when every
-// (mode, act_seed) cell is there, otherwise by one sweep of its own on
-// the caller's goroutine, under ctx and the drain context, so a
-// deadline, a departed client or Drain cancels it. The cache is read
-// again once a sweep slot is held, so an identical request queued
-// behind a running sweep reuses its cells instead of sweeping them
-// twice. The slot and the network's pin are released before simulate
-// returns. Results come back in the order modes was given.
+// (mode, act_seed) cell is there, otherwise by one sweep of its own
+// over only the modes the cache lacks, run on the caller's goroutine
+// under ctx and the drain context, so a deadline, a departed client or
+// Drain cancels it. The cache is read again once a sweep slot is held,
+// so a request queued behind a running sweep reuses the cells it
+// filled instead of sweeping them twice; that read's hits and misses
+// are the ones counted. Per-mode results do not depend on which modes
+// run together, so the swept cells merge with the cached ones. The
+// slot and the network's pin are released before simulate returns.
+// Results come back in the order modes was given; cached reports that
+// no sweep ran.
 func (s *Server) simulate(ctx context.Context, key BatchKey, modes []sre.Mode, actSeed uint64) ([]sre.Result, bool, error) {
-	if res, ok := s.cache.Lookup(key, modes, actSeed); ok {
+	if res, missing := s.cache.Lookup(key, modes, actSeed); len(missing) == 0 {
+		s.cache.tally(len(modes), 0)
 		return res, true, nil
 	}
 	ctx, cancel := context.WithCancel(ctx)
@@ -414,16 +417,21 @@ func (s *Server) simulate(ctx context.Context, key BatchKey, modes []sre.Mode, a
 		return nil, false, err
 	}
 	defer s.budget.Release()
-	if res, ok := s.cache.Lookup(key, modes, actSeed); ok {
+	res, missing := s.cache.Lookup(key, modes, actSeed)
+	s.cache.tally(len(modes)-len(missing), len(missing))
+	if len(missing) == 0 {
 		return res, true, nil
 	}
 	s.sweeps.Inc()
-	s.cache.missed(len(modes))
+	sweep := make([]sre.Mode, len(missing))
+	for j, i := range missing {
+		sweep[j] = modes[i]
+	}
 	net, release, err := s.registry.Get(ctx, key.Key)
 	var grid [][]sre.Result
 	if err == nil {
 		defer release() // unpin: the registry may evict once the sweep is done
-		grid, err = net.RunBatchContext(ctx, modes, []sre.ActivationSet{{ActSeed: actSeed}},
+		grid, err = net.RunBatchContext(ctx, sweep, []sre.ActivationSet{{ActSeed: actSeed}},
 			sre.WithMaxWindows(key.MaxWindows),
 			sre.WithIndexBits(key.IndexBits),
 			sre.WithWorkers(s.opts.Workers),
@@ -435,13 +443,14 @@ func (s *Server) simulate(ctx context.Context, key BatchKey, modes []sre.Mode, a
 		}
 		return nil, false, err
 	}
-	res := grid[0]
-	for i := range res {
+	for j, i := range missing {
+		r := grid[0][j]
 		// Strip the sweep-wide metrics snapshot: responses must be
 		// bit-identical to a direct run, and /metrics serves the
 		// aggregate view.
-		res[i].Metrics = nil
-		s.cache.Put(key, modes[i], actSeed, res[i])
+		r.Metrics = nil
+		s.cache.Put(key, sweep[j], actSeed, r)
+		res[i] = r
 	}
 	return res, false, nil
 }
@@ -502,32 +511,11 @@ func (s *Server) resolve(req SimulateRequest) (Key, BatchKey, []sre.Mode, int, e
 		modes, 0, nil
 }
 
-// jsonEncoder is a reusable indenting encoder whose target is set per
-// reply. A fresh json.Encoder grows its indent buffer from nothing on
-// every reply, which was most of what a cache hit allocated; a warm
-// one reuses it.
-type jsonEncoder struct {
-	w   io.Writer
-	enc *json.Encoder
-}
-
-func (e *jsonEncoder) Write(p []byte) (int, error) { return e.w.Write(p) }
-
-var jsonEncoders = sync.Pool{New: func() any {
-	e := &jsonEncoder{}
-	e.enc = json.NewEncoder(e)
-	e.enc.SetIndent("", "  ")
-	return e
-}}
-
+// writeJSON sends v as compact JSON and a newline. Replies are not
+// indented: indenting re-walks every encoded reply and would be most of
+// what a cache hit costs. Readers who want layout pipe them through jq.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	e := jsonEncoders.Get().(*jsonEncoder)
-	e.w = w
-	err := e.enc.Encode(v)
-	e.w = nil
-	if err == nil { // a failed write sticks to a json.Encoder
-		jsonEncoders.Put(e)
-	}
+	_ = json.NewEncoder(w).Encode(v) // the status is sent; a failed write means the client has gone
 }

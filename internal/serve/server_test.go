@@ -629,9 +629,9 @@ func (f *failingWriter) Header() http.Header       { return f.h }
 func (f *failingWriter) WriteHeader(int)           {}
 func (f *failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe }
 
-// TestWriteJSONAfterFailedWrite: a json.Encoder whose write failed
-// returns that error for good, so writeJSON must not pool it; the next
-// reply is written in full.
+// TestWriteJSONAfterFailedWrite: a reply whose write fails, as when a
+// client has gone, leaves nothing behind that spoils the next reply,
+// which is written in full.
 func TestWriteJSONAfterFailedWrite(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		writeJSON(&failingWriter{h: http.Header{}}, http.StatusOK, errorResponse{Error: "lost"})

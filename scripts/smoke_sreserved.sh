@@ -34,16 +34,16 @@ echo "smoke: /v1/networks lists MNIST"
 
 REQ='{"network":"MNIST","modes":["baseline","orc+dof"],"config":{"max_windows":6},"timeout_ms":60000}'
 OUT=$(curl -sf -X POST "$BASE/v1/simulate" -d "$REQ")
-echo "$OUT" | grep -q '"Mode": "orc+dof"'
+echo "$OUT" | grep -q '"Mode":"orc+dof"'
 echo "$OUT" | grep -q '"Cycles"'
-echo "$OUT" | grep -q '"cached": false'
+echo "$OUT" | grep -q '"cached":false'
 echo "smoke: /v1/simulate round-trip ok"
 
 # The identical request again: deterministic, so the result cache must
 # answer it without another sweep, bit-identically.
 OUT2=$(curl -sf -X POST "$BASE/v1/simulate" -d "$REQ")
-echo "$OUT2" | grep -q '"cached": true'
-if [ "$(echo "$OUT" | sed 's/"cached": false/"cached": true/')" != "$OUT2" ]; then
+echo "$OUT2" | grep -q '"cached":true'
+if [ "$(echo "$OUT" | sed 's/"cached":false/"cached":true/')" != "$OUT2" ]; then
 	echo "smoke: cached response differs from the swept one" >&2
 	exit 1
 fi
@@ -62,8 +62,8 @@ echo "smoke: /metrics scrape ok (1 sweep for 2 requests, 2 cache hits)"
 # experiment harness's job).
 WREQ='{"network":"MNIST","modes":["orc+dof","orc+dof+wss"],"config":{"max_windows":6,"slice_cap":2},"timeout_ms":60000}'
 WOUT=$(curl -sf -X POST "$BASE/v1/simulate" -d "$WREQ")
-echo "$WOUT" | grep -q '"Mode": "orc+dof+wss"'
-echo "$WOUT" | grep -q '"Version": 2'
+echo "$WOUT" | grep -q '"Mode":"orc+dof+wss"'
+echo "$WOUT" | grep -q '"Version":2'
 echo "smoke: /v1/simulate wss round-trip ok (slice_cap design point, Version 2)"
 
 # An unknown mode must be a 400 whose body names the rejected mode.

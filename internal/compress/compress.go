@@ -22,12 +22,14 @@
 package compress
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
 	"sre/internal/bitset"
 	"sre/internal/index"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/tensor"
 	"sre/internal/xmath"
@@ -125,10 +127,16 @@ type FloatSource struct {
 
 // NewFloatSource builds a FloatSource for w under p.
 func NewFloatSource(w *tensor.Tensor, p quant.Params) *FloatSource {
+	return NewFloatSourceMax(w, p, w.MaxAbs())
+}
+
+// NewFloatSourceMax is NewFloatSource for a caller that already knows
+// w's largest magnitude, maxAbs, and so spares the scan for it.
+func NewFloatSourceMax(w *tensor.Tensor, p quant.Params, maxAbs float32) *FloatSource {
 	if len(w.Shape()) != 2 {
 		panic("compress: FloatSource wants a rank-2 tensor")
 	}
-	return &FloatSource{W: w, WBits: p.WBits, scale: quant.ScaleFor(float64(w.MaxAbs()), p.WBits)}
+	return &FloatSource{W: w, WBits: p.WBits, scale: quant.ScaleFor(float64(maxAbs), p.WBits)}
 }
 
 func (f *FloatSource) Dims() (int, int) { return f.W.Dim(0), f.W.Dim(1) }
@@ -137,7 +145,11 @@ func (f *FloatSource) RowCodes(r int, dst []uint32) {
 	cols := f.W.Dim(1)
 	row := f.W.Data()[r*cols : (r+1)*cols]
 	for c, v := range row {
-		if v < 0 {
+		switch {
+		case v == 0: // most weights of a pruned layer
+			dst[c] = 0
+			continue
+		case v < 0:
 			v = -v
 		}
 		dst[c] = quant.QuantizeUnsigned(float64(v), f.WBits, f.scale)
@@ -185,41 +197,99 @@ type Structure struct {
 // Build scans src and constructs the structure for geometry g under
 // quantization p.
 func Build(src Source, p quant.Params, g mapping.Geometry) *Structure {
+	s, _ := BuildOn(nil, src, p, g, 1)
+	return s
+}
+
+// BuildOn is Build on pool (nil runs serially), returning with the
+// structure the cell count SNrram's filter-grained column compression
+// [44] keeps (Fig. 20's arrows): each logical column splits into
+// segments of segRows rows (filter height × width for conv layers, 1
+// for FC) and its all-zero segments are removed, at weight
+// granularity like the model-based scheme it mimics. One scan reads
+// each row's codes once and feeds both. Its chunks are whole row
+// blocks that also start on segment boundaries, so each owns the group
+// bitsets of its row blocks and the segments it covers, and the
+// chunks' counts sum in order: the result is the same at any width.
+func BuildOn(pool *parallel.Pool, src Source, p quant.Params, g mapping.Geometry, segRows int) (*Structure, int64) {
 	rows, cols := src.Dims()
 	layout := mapping.NewLayout(rows, cols, p, g)
 	s := &Structure{Layout: layout, P: p}
 	s.groups = newGroupGrid(layout)
 	s.sliceGroups = newGroupGrid(layout)
+	if segRows <= 0 {
+		segRows = 1
+	}
+	unit := g.XbarRows // the least common multiple of XbarRows and segRows
+	for unit%segRows != 0 {
+		unit += g.XbarRows
+	}
+	units := xmath.CeilDiv(rows, unit)
+	nonZero := make([]int64, units)
+	snrram := make([]int64, units)
 	cpw := p.CellsPerWeight()
 	mask := uint32(1)<<uint(p.CellBits) - 1
-	codes := make([]uint32, cols)
-	for r := 0; r < rows; r++ {
-		src.RowCodes(r, codes)
-		rb := r / g.XbarRows
-		tr := r % g.XbarRows
-		for c, code := range codes {
-			if code == 0 {
-				continue
-			}
-			for j := 0; j < cpw; j++ {
-				if code>>uint(j*p.CellBits)&mask == 0 {
-					continue
-				}
-				s.nonZeroCells++
-				pc := c*cpw + j
-				cb := pc / g.XbarCols
-				gi := (pc % g.XbarCols) / g.SBL
-				s.groups[rb][cb][gi].Set(tr)
-				// Slice-major mapping: same physical-column count, so the
-				// tiling shape is identical; only the column index differs.
-				smpc := j*cols + c
-				scb := smpc / g.XbarCols
-				sgi := (smpc % g.XbarCols) / g.SBL
-				s.sliceGroups[rb][scb][sgi].Set(tr)
-			}
+	// cell[c*cpw+j] places cell j of column c's weights: its column
+	// block and group under each mapping.
+	type place struct{ cb, gi, scb, sgi int32 }
+	cell := make([]place, cols*cpw)
+	for c := 0; c < cols; c++ {
+		for j := 0; j < cpw; j++ {
+			pc := c*cpw + j
+			// Slice-major mapping: same physical-column count, so the
+			// tiling shape is identical; only the column index differs.
+			smpc := j*cols + c
+			cell[pc] = place{int32(pc / g.XbarCols), int32(pc % g.XbarCols / g.SBL),
+				int32(smpc / g.XbarCols), int32(smpc % g.XbarCols / g.SBL)}
 		}
 	}
-	return s
+	pool.For(context.Background(), units, func(start, end int) {
+		codes := make([]uint32, cols)
+		// segNonZero[c] tracks whether the current segment of column c
+		// has a non-zero weight; touched lists the columns that do.
+		segNonZero := make([]bool, cols)
+		var touched []int
+		for u := start; u < end; u++ {
+			var cells, kept int64
+			lo, hi := u*unit, min(u*unit+unit, rows)
+			for r := lo; r < hi; r++ {
+				src.RowCodes(r, codes)
+				groups, sliceGroups := s.groups[r/g.XbarRows], s.sliceGroups[r/g.XbarRows]
+				tr := r % g.XbarRows
+				for c, code := range codes {
+					if code == 0 {
+						continue
+					}
+					if !segNonZero[c] {
+						segNonZero[c] = true
+						touched = append(touched, c)
+					}
+					for j, at := range cell[c*cpw : c*cpw+cpw] {
+						if code>>uint(j*p.CellBits)&mask == 0 {
+							continue
+						}
+						cells++
+						groups[at.cb][at.gi].Set(tr)
+						sliceGroups[at.scb][at.sgi].Set(tr)
+					}
+				}
+				if inSeg := (r-lo)%segRows + 1; inSeg == segRows || r == hi-1 {
+					kept += int64(len(touched)) * int64(inSeg) * int64(cpw)
+					for _, c := range touched {
+						segNonZero[c] = false
+					}
+					touched = touched[:0]
+				}
+			}
+			nonZero[u], snrram[u] = cells, kept
+		}
+	})
+	var kept int64
+	for u := range nonZero {
+		s.nonZeroCells += nonZero[u]
+		kept += snrram[u]
+	}
+	return s, kept
 }
 
 // newGroupGrid allocates the per-(row block, column block, group) bitset
@@ -578,48 +648,4 @@ func (s *Structure) ChooseIndexBits(lossFrac float64) int {
 		}
 	}
 	return maxBits
-}
-
-// SNrramCompressedCells models SNrram's [44] filter-grained column
-// compression: each logical column splits into segments of segRows rows
-// (filter height × width for conv layers; 1 for FC), and all-zero
-// segments are removed. Works at weight granularity, matching the
-// model-based scheme it mimics.
-func SNrramCompressedCells(src Source, p quant.Params, segRows int) int64 {
-	rows, cols := src.Dims()
-	if segRows <= 0 {
-		segRows = 1
-	}
-	cpw := int64(p.CellsPerWeight())
-	// segNonZero[c] tracks whether the current segment of column c has a
-	// non-zero weight.
-	segNonZero := make([]bool, cols)
-	var kept int64
-	codes := make([]uint32, cols)
-	flush := func(rowsInSeg int) {
-		for c := range segNonZero {
-			if segNonZero[c] {
-				kept += int64(rowsInSeg) * cpw
-				segNonZero[c] = false
-			}
-		}
-	}
-	inSeg := 0
-	for r := 0; r < rows; r++ {
-		src.RowCodes(r, codes)
-		for c, code := range codes {
-			if code != 0 {
-				segNonZero[c] = true
-			}
-		}
-		inSeg++
-		if inSeg == segRows {
-			flush(inSeg)
-			inSeg = 0
-		}
-	}
-	if inSeg > 0 {
-		flush(inSeg)
-	}
-	return kept
 }

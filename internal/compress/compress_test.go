@@ -2,9 +2,11 @@ package compress
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/tensor"
 	"sre/internal/xrand"
@@ -251,7 +253,7 @@ func TestSNrramCompressedCells(t *testing.T) {
 		3, 1,
 		0, 2,
 	})
-	got := SNrramCompressedCells(src, oneCell, 2)
+	_, got := BuildOn(nil, src, oneCell, mapping.Default(), 2)
 	// Kept segments: col0 seg1 (2 rows) + col1 both segs (4 rows) = 6
 	// weights × 1 cell.
 	if got != 6 {
@@ -259,8 +261,75 @@ func TestSNrramCompressedCells(t *testing.T) {
 	}
 	// Ragged tail: 3 rows with segRows 2 → final 1-row segment.
 	src2 := codeSource(3, 1, []uint32{0, 0, 7})
-	if got := SNrramCompressedCells(src2, oneCell, 2); got != 1 {
+	if _, got := BuildOn(nil, src2, oneCell, mapping.Default(), 2); got != 1 {
 		t.Fatalf("ragged SNrram kept %d, want 1", got)
+	}
+}
+
+// snrramReference is the serial SNrram scan BuildOn's count replaced,
+// kept as the reference TestBuildOnMatchesSerial holds it to.
+func snrramReference(src Source, p quant.Params, segRows int) int64 {
+	rows, cols := src.Dims()
+	cpw := int64(p.CellsPerWeight())
+	segNonZero := make([]bool, cols)
+	var kept int64
+	codes := make([]uint32, cols)
+	flush := func(rowsInSeg int) {
+		for c := range segNonZero {
+			if segNonZero[c] {
+				kept += int64(rowsInSeg) * cpw
+				segNonZero[c] = false
+			}
+		}
+	}
+	inSeg := 0
+	for r := 0; r < rows; r++ {
+		src.RowCodes(r, codes)
+		for c, code := range codes {
+			if code != 0 {
+				segNonZero[c] = true
+			}
+		}
+		inSeg++
+		if inSeg == segRows {
+			flush(inSeg)
+			inSeg = 0
+		}
+	}
+	if inSeg > 0 {
+		flush(inSeg)
+	}
+	return kept
+}
+
+// TestBuildOnMatchesSerial: at any pool width, BuildOn's planes,
+// non-zero cells and SNrram count equal a serial scan's, for segment
+// heights that divide the crossbar height, do not, and exceed it.
+func TestBuildOnMatchesSerial(t *testing.T) {
+	p := quant.Params{WBits: 8, ABits: 8, CellBits: 2, DACBits: 1}
+	g := mapping.Geometry{XbarRows: 16, XbarCols: 16, SWL: 4, SBL: 4}
+	r := xrand.New(11)
+	for _, dims := range [][2]int{{1, 1}, {37, 9}, {200, 23}, {513, 40}} {
+		codes := make([]uint32, dims[0]*dims[1])
+		for i := range codes {
+			if r.Bernoulli(0.3) {
+				codes[i] = uint32(r.Intn(256))
+			}
+		}
+		src := codeSource(dims[0], dims[1], codes)
+		for _, segRows := range []int{1, 4, 9, 25, 40} {
+			want, wantKept := BuildOn(nil, src, p, g, segRows)
+			if ref := snrramReference(src, p, segRows); wantKept != ref {
+				t.Fatalf("%v seg %d: serial BuildOn kept %d, reference %d", dims, segRows, wantKept, ref)
+			}
+			for _, width := range []int{2, 3, 4} {
+				got, kept := BuildOn(parallel.New(width), src, p, g, segRows)
+				if kept != wantKept || got.NonZeroCells() != want.NonZeroCells() ||
+					!slices.Equal(got.AppendSlicePlanes(got.AppendPlanes(nil)), want.AppendSlicePlanes(want.AppendPlanes(nil))) {
+					t.Fatalf("%v seg %d width %d: pooled scan differs from the serial one", dims, segRows, width)
+				}
+			}
+		}
 	}
 }
 

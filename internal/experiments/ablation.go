@@ -9,6 +9,7 @@ import (
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/workload"
 )
@@ -83,7 +84,7 @@ func AblationOCC(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		occs, err := spec.BuildOCCStructures(workload.SSL, p, g, opt.Seed)
+		occs, err := spec.BuildOCCStructures(workload.SSL, p, g, opt.Seed, parallel.New(opt.Workers))
 		if err != nil {
 			return nil, err
 		}

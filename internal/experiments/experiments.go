@@ -204,9 +204,9 @@ func build(spec workload.Spec, mode workload.PruneMode, p quant.Params, g mappin
 	var err error
 	if opt.SnapshotDir != "" {
 		b, _, err = snapshot.LoadOrBuild(opt.SnapshotDir,
-			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed})
+			snapshot.Key{Spec: spec, Prune: mode, Quant: p, Geom: g, Seed: opt.Seed}, parallel.New(opt.Workers))
 	} else {
-		b, err = spec.Build(mode, p, g, opt.Seed)
+		b, err = spec.Build(mode, p, g, opt.Seed, parallel.New(opt.Workers))
 	}
 	if err != nil {
 		return nil, err

@@ -42,14 +42,21 @@ type Inception struct {
 // NewInception builds an inception module over cin input channels with
 // the standard six filter counts.
 func NewInception(tag string, cin, n1, n3r, n3, n5r, n5, np int) *Inception {
+	m := inception(tag, cin, n1, n3r, n3, n5r, n5, np)
+	allocWeights(m)
+	return m
+}
+
+// inception is NewInception without weights.
+func inception(tag string, cin, n1, n3r, n3, n5r, n5, np int) *Inception {
 	return &Inception{
 		Tag:      tag,
-		B1:       NewConv(cin, n1, 1, 1, 0),
-		B2Reduce: NewConv(cin, n3r, 1, 1, 0),
-		B2:       NewConv(n3r, n3, 3, 1, 1),
-		B3Reduce: NewConv(cin, n5r, 1, 1, 0),
-		B3:       NewConv(n5r, n5, 5, 1, 2),
-		PoolProj: NewConv(cin, np, 1, 1, 0),
+		B1:       conv(cin, n1, 1, 1, 0),
+		B2Reduce: conv(cin, n3r, 1, 1, 0),
+		B2:       conv(n3r, n3, 3, 1, 1),
+		B3Reduce: conv(cin, n5r, 1, 1, 0),
+		B3:       conv(n5r, n5, 5, 1, 2),
+		PoolProj: conv(cin, np, 1, 1, 0),
 		pool:     &MaxPool{K: 3, Stride: 1, Pad: 1},
 		n1:       n1, n3r: n3r, n3: n3, n5r: n5r, n5: n5, np: np,
 	}
@@ -96,16 +103,23 @@ type Residual struct {
 // width (planes), output width cout, and stride on the 3×3 conv. A
 // projection shortcut is added when cin != cout or stride != 1.
 func NewResidual(cin, planes, cout, stride int) *Residual {
+	r := residual(cin, planes, cout, stride)
+	allocWeights(r)
+	return r
+}
+
+// residual is NewResidual without conv weights.
+func residual(cin, planes, cout, stride int) *Residual {
 	r := &Residual{
-		C1:  NewConv(cin, planes, 1, 1, 0),
-		C2:  NewConv(planes, planes, 3, stride, 1),
-		C3:  NewConv(planes, cout, 1, 1, 0),
+		C1:  conv(cin, planes, 1, 1, 0),
+		C2:  conv(planes, planes, 3, stride, 1),
+		C3:  conv(planes, cout, 1, 1, 0),
 		BN1: NewBatchNorm(planes),
 		BN2: NewBatchNorm(planes),
 		BN3: NewBatchNorm(cout),
 	}
 	if cin != cout || stride != 1 {
-		r.Proj = NewConv(cin, cout, 1, stride, 0)
+		r.Proj = conv(cin, cout, 1, stride, 0)
 		r.ProjBN = NewBatchNorm(cout)
 	}
 	return r

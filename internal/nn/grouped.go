@@ -21,12 +21,19 @@ type GroupedConv struct {
 // NewGroupedConv builds a grouped conv over cin channels with cout total
 // filters. cin and cout must divide by groups.
 func NewGroupedConv(cin, cout, k, stride, pad, groups int) *GroupedConv {
+	g := groupedConv(cin, cout, k, stride, pad, groups)
+	allocWeights(g)
+	return g
+}
+
+// groupedConv is NewGroupedConv without weights.
+func groupedConv(cin, cout, k, stride, pad, groups int) *GroupedConv {
 	if groups <= 0 || cin%groups != 0 || cout%groups != 0 {
 		panic(fmt.Sprintf("nn: grouped conv %d/%d not divisible by %d groups", cin, cout, groups))
 	}
 	g := &GroupedConv{Groups: groups}
 	for i := 0; i < groups; i++ {
-		g.Convs = append(g.Convs, NewConv(cin/groups, cout/groups, k, stride, pad))
+		g.Convs = append(g.Convs, conv(cin/groups, cout/groups, k, stride, pad))
 	}
 	return g
 }

@@ -86,11 +86,14 @@ type Conv struct {
 
 // NewConv allocates a conv layer with zero weights.
 func NewConv(cin, cout, k, stride, pad int) *Conv {
-	return &Conv{
-		Cin: cin, Cout: cout, K: k, Stride: stride, Pad: pad,
-		W: tensor.New(cout, cin, k, k),
-		B: make([]float32, cout),
-	}
+	c := conv(cin, cout, k, stride, pad)
+	allocWeights(c)
+	return c
+}
+
+// conv is NewConv without weights.
+func conv(cin, cout, k, stride, pad int) *Conv {
+	return &Conv{Cin: cin, Cout: cout, K: k, Stride: stride, Pad: pad}
 }
 
 func (c *Conv) Name() string {
@@ -194,7 +197,44 @@ type FC struct {
 
 // NewFC allocates an FC layer with zero weights.
 func NewFC(in, out int) *FC {
-	return &FC{In: in, Out: out, W: tensor.New(in, out), B: make([]float32, out)}
+	f := &FC{In: in, Out: out}
+	allocWeights(f)
+	return f
+}
+
+// allocWeights gives every matrix layer in l zero weights and biases.
+// The parser builds layers without them, so that Shapes can walk a
+// topology without allocating a weight; Parse and the New constructors
+// allocate them here.
+func allocWeights(l Layer) {
+	for _, m := range matrixLayers(l) {
+		switch v := m.(type) {
+		case *Conv:
+			v.W, v.B = tensor.New(v.Cout, v.Cin, v.K, v.K), make([]float32, v.Cout)
+		case *FC:
+			v.W, v.B = tensor.New(v.In, v.Out), make([]float32, v.Out)
+		}
+	}
+}
+
+// matrixLayers returns the matrix layers inside l.
+func matrixLayers(l Layer) []MatrixLayer {
+	var convs []*Conv
+	switch v := l.(type) {
+	case MatrixLayer:
+		return []MatrixLayer{v}
+	case *GroupedConv:
+		convs = v.Convs
+	case *Inception:
+		convs = v.Convs()
+	case *Residual:
+		convs = v.Convs()
+	}
+	out := make([]MatrixLayer, len(convs))
+	for i, c := range convs {
+		out[i] = c
+	}
+	return out
 }
 
 func (f *FC) Name() string { return fmt.Sprintf("fc%d", f.Out) }

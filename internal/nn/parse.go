@@ -27,7 +27,37 @@ import (
 // A ReLU is inserted after every conv and FC layer except the final
 // layer, matching the evaluated CNNs (activation sparsity comes from
 // these ReLUs).
-func Parse(name string, in Shape, topo string) (net *Network, err error) {
+func Parse(name string, in Shape, topo string) (*Network, error) {
+	net, err := parse(name, in, topo)
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range net.Layers {
+		allocWeights(l)
+	}
+	return net, nil
+}
+
+// Shapes is Parse without weights: it walks topo's shapes and returns
+// what MatrixLayerInfos would, each LayerInfo's Layer nil, allocating
+// no weight. Callers that need only the matrix layers' names, dims,
+// windows and groups — every simulator build, and a snapshot checking
+// a file against its key — use it, so the cost of a topology does not
+// grow with its weight count.
+func Shapes(name string, in Shape, topo string) ([]LayerInfo, error) {
+	net, err := parse(name, in, topo)
+	if err != nil {
+		return nil, err
+	}
+	infos := net.MatrixLayerInfos()
+	for i := range infos {
+		infos[i].Layer = nil
+	}
+	return infos, nil
+}
+
+// parse builds topo's network with no weights allocated.
+func parse(name string, in Shape, topo string) (net *Network, err error) {
 	// Shape propagation panics on inconsistent geometry; surface that as a
 	// parse error rather than crashing the caller.
 	defer func() {
@@ -41,12 +71,19 @@ func Parse(name string, in Shape, topo string) (net *Network, err error) {
 	}
 	net = &Network{NetName: name, InShape: in}
 	shape := in
+	matrix := 0
 	for _, tok := range tokens {
 		layers, out, err := parseToken(tok, shape)
 		if err != nil {
 			return nil, fmt.Errorf("nn: parse %q token %q: %w", name, tok, err)
 		}
+		for _, l := range layers {
+			matrix += len(matrixLayers(l))
+		}
 		net.Layers = append(net.Layers, layers...)
+		if len(net.Layers) > maxLayers || matrix > maxLayers {
+			return nil, fmt.Errorf("nn: parse %q: more than %d layers", name, maxLayers)
+		}
 		shape = out
 	}
 	// Drop a trailing ReLU: the last layer produces logits.
@@ -77,6 +114,9 @@ func splitTopLevel(s string) ([]string, error) {
 			}
 		case '-':
 			if depth == 0 {
+				if len(tokens) == maxLayers {
+					return nil, fmt.Errorf("more than %d layers", maxLayers)
+				}
 				tokens = append(tokens, s[start:i])
 				start = i + 1
 			}
@@ -149,19 +189,23 @@ func parseToken(tok string, in Shape) ([]Layer, Shape, error) {
 		if elems := in.Elems(); elems > maxLayerWeights/n {
 			return nil, nil, fmt.Errorf("fc %d×%d exceeds the weight limit", elems, n)
 		}
-		fc := NewFC(in.Elems(), n)
+		fc := &FC{In: in.Elems(), Out: n}
 		return []Layer{fc, ReLU{}}, Shape{n}, nil
 	}
 }
 
 // Parser sanity limits: topology strings may come from users, and a
 // single absurd token ("8880000000") must fail cleanly instead of
-// attempting a hundred-gigabyte weight allocation.
+// attempting a hundred-gigabyte weight allocation. maxLayers bounds the
+// layers and the matrix layers a topology expands to, so that even a
+// weightless walk (Shapes, which snapshot.Decode runs on a file's key)
+// allocates in proportion to a real network, not to the string.
 const (
 	maxKernel       = 64
 	maxLayerWidth   = 1 << 20 // filters / FC outputs
 	maxLayerWeights = 1 << 31 // weights per layer
 	maxRepeat       = 512
+	maxLayers       = 1 << 14
 )
 
 // parseConv parses "convKxN[gG][sS][pP]": kernel K, N total filters,
@@ -204,13 +248,15 @@ func parseConv(tok string, cin int) (Layer, error) {
 		return nil, fmt.Errorf("bad stride/pad %d/%d", stride, pad)
 	case groups < 1 || cin%groups != 0 || n%groups != 0:
 		return nil, fmt.Errorf("groups %d must divide channels %d and filters %d", groups, cin, n)
+	case groups > maxLayers:
+		return nil, fmt.Errorf("%d groups exceed the layer limit %d", groups, maxLayers)
 	case cin*k*k > maxLayerWeights/n:
 		return nil, fmt.Errorf("conv %dx%dx%dx%d exceeds the weight limit", n, cin, k, k)
 	}
 	if groups > 1 {
-		return NewGroupedConv(cin, n, k, stride, pad, groups), nil
+		return groupedConv(cin, n, k, stride, pad, groups), nil
 	}
-	return NewConv(cin, n, k, stride, pad), nil
+	return conv(cin, n, k, stride, pad), nil
 }
 
 // parseKSP parses "KsS[pP]" pooling geometry.
@@ -266,7 +312,7 @@ func parseInception(tok string, cin int) (*Inception, error) {
 	if tag == "" {
 		tag = inner
 	}
-	return NewInception(tag, cin, ns[0], ns[1], ns[2], ns[3], ns[4], ns[5]), nil
+	return inception(tag, cin, ns[0], ns[1], ns[2], ns[3], ns[4], ns[5]), nil
 }
 
 // parseResidualGroup parses "[conv1xA[sS]-conv3xB-conv1xC]xN" into N
@@ -329,7 +375,7 @@ func parseResidualGroup(tok string, in Shape) ([]Layer, Shape, error) {
 		if i == 0 {
 			s = stride
 		}
-		r := NewResidual(cin, planes, cout, s)
+		r := residual(cin, planes, cout, s)
 		layers = append(layers, r)
 		shape = r.OutShape(shape)
 		cin = cout

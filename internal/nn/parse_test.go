@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -194,5 +196,76 @@ func TestParseSizeLimits(t *testing.T) {
 		if _, err := Parse("bomb", Shape{3, 64, 64}, topo); err == nil {
 			t.Errorf("accepted %q", topo)
 		}
+	}
+}
+
+// TestShapesMatchesParse: the weightless walk yields Parse's matrix
+// layer infos, Layer aside, rejects what Parse rejects, and allocates
+// nothing in proportion to the weights.
+func TestShapesMatchesParse(t *testing.T) {
+	for _, c := range []struct {
+		in   Shape
+		topo string
+	}{
+		{Shape{1, 28, 28}, "conv5x20-pool-conv5x50-pool-500-10"},
+		{Shape{3, 227, 227}, "conv11x96s4-pool3s2-conv5x256g2p2-pool3s2-conv3x384p1-pool3s2-4096-1000"},
+		{Shape{3, 224, 224}, "conv7x64s2p3-pool3s2-inception(3a:64,96,128,16,32,32)-gap-1000"},
+		{Shape{3, 224, 224}, "conv7x64s2p3-pool3s2p1-[conv1x64-conv3x64-conv1x256]x3-[conv1x128s2-conv3x128-conv1x512]x2-gap-1000"},
+	} {
+		net, err := Parse("n", c.in, c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := net.MatrixLayerInfos()
+		got, err := Shapes("n", c.in, c.topo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d infos, Parse has %d", c.topo, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Layer != nil {
+				t.Fatalf("%s: info %d carries a layer", c.topo, i)
+			}
+			w := want[i]
+			w.Layer = nil
+			if fmt.Sprint(got[i]) != fmt.Sprint(w) {
+				t.Fatalf("%s: info %d is %+v, Parse has %+v", c.topo, i, got[i], w)
+			}
+		}
+	}
+	vgg := "conv3x64p1-conv3x64p1-pool-conv3x128p1-conv3x128p1-pool-" +
+		"conv3x256p1-conv3x256p1-conv3x256p1-pool-conv3x512p1-conv3x512p1-conv3x512p1-pool-" +
+		"conv3x512p1-conv3x512p1-conv3x512p1-pool-4096-4096-1000"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Shapes("VGG-16", Shape{3, 224, 224}, vgg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("walking VGG-16's 138M-weight topology allocated %d bytes", n)
+	}
+	if _, err := Shapes("bomb", Shape{3, 64, 64}, "8880000000"); err == nil {
+		t.Fatal("Shapes accepted a token Parse rejects")
+	}
+}
+
+// TestParseLayerLimit: a topology that expands to more layers than a
+// real network, in tokens, repeats or groups, fails before its layers
+// are built.
+func TestParseLayerLimit(t *testing.T) {
+	for _, topo := range []string{
+		strings.Repeat("pool-", maxLayers) + "10",
+		strings.Repeat("[conv1x1-conv3x1-conv1x1]x512-", maxLayers/(3*512)+1) + "10",
+		"conv1x32768-conv1x32768g32768",
+	} {
+		if _, err := Shapes("bomb", Shape{1, 1, 1}, topo); err == nil || !strings.Contains(err.Error(), "layer") {
+			t.Errorf("%.40s…: err %v, want the layer limit", topo, err)
+		}
+	}
+	if _, err := Shapes("deep", Shape{1, 1, 1}, strings.Repeat("1-", maxLayers/2-1)+"1"); err != nil {
+		t.Fatalf("a topology within the limit failed: %v", err)
 	}
 }

@@ -20,9 +20,9 @@ package prune
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
-	"sre/internal/nn"
 	"sre/internal/tensor"
 	"sre/internal/xrand"
 )
@@ -60,10 +60,10 @@ func (s Spec) segRows() int {
 	return s.SegRows
 }
 
-// Validate checks all fractions are probabilities.
+// Validate checks all fractions are probabilities (NaN is not).
 func (s Spec) Validate() error {
 	for _, f := range []float64{s.RowFrac, s.ColFrac, s.SegFrac, s.ElemFrac} {
-		if f < 0 || f > 1 {
+		if !(f >= 0 && f <= 1) {
 			return fmt.Errorf("prune: fraction %v outside [0,1]", f)
 		}
 	}
@@ -98,33 +98,107 @@ func ElemFracFor(target float64, structured ...float64) float64 {
 	return e
 }
 
-// ApplyMatrix zeroes a rank-2 [R, C] weight matrix in place per spec.
+// ApplyMatrix zeroes a rank-2 [R, C] weight matrix in place per spec:
+// every element its Rows replay marks.
 func ApplyMatrix(w *tensor.Tensor, spec Spec, rng *xrand.RNG) {
+	r, c := w.Dim(0), w.Dim(1)
+	rows := NewRows(r, c, spec, rng)
+	zero := make([]bool, c)
+	d := w.Data()
+	for i := 0; i < r; i++ {
+		clear(zero)
+		rows.Next(zero)
+		for j, z := range zero {
+			if z {
+				d[i*c+j] = 0
+			}
+		}
+	}
+}
+
+// Rows replays one prune pass's draws over an r×c matrix, a row at a
+// time: the row and column sets up front, one segment decision per
+// (row block, column segment) as each row block starts, and one
+// element draw per element that no zero row, column or segment of the
+// pass already covers. The draws depend only on the spec, the dims and
+// the stream, never on the values being pruned, so a builder learns
+// where a pass's zeros fall before it synthesizes any weight.
+type Rows struct {
+	spec               Spec
+	zeroRows, zeroCols []bool
+	segZero            []bool
+	sc, sRows          int
+	er, sr             xrand.RNG
+	i                  int
+}
+
+// NewRows starts the replay of spec's pass over an r×c matrix, drawing
+// from rng's "rows", "cols", "segs" and "elems" streams. It panics on
+// an invalid spec.
+func NewRows(r, c int, spec Spec, rng *xrand.RNG) *Rows {
 	if err := spec.Validate(); err != nil {
 		panic(err)
 	}
-	r, c := w.Dim(0), w.Dim(1)
-	zeroRows := pickSet(rng.Split("rows"), r, spec.RowFrac)
-	zeroCols := pickSet(rng.Split("cols"), c, spec.ColFrac)
-	er := rng.Split("elems")
-	sr := rng.Split("segs")
-	sc, sRows := spec.segCols(), spec.segRows()
-	d := w.Data()
-	segZero := make([]bool, (c+sc-1)/sc)
-	for i := 0; i < r; i++ {
-		rowZero := zeroRows[i]
-		if i%sRows == 0 { // one decision per (row block, column segment)
-			for s := range segZero {
-				segZero[s] = spec.SegFrac > 0 && sr.Bernoulli(spec.SegFrac)
-			}
+	sc := spec.segCols()
+	return &Rows{
+		spec:     spec,
+		zeroRows: pickSet(rng.Split("rows"), r, spec.RowFrac),
+		zeroCols: pickSet(rng.Split("cols"), c, spec.ColFrac),
+		segZero:  make([]bool, (c+sc-1)/sc),
+		sc:       sc,
+		sRows:    spec.segRows(),
+		er:       *rng.Split("elems"),
+		sr:       *rng.Split("segs"),
+	}
+}
+
+// Next sets zero[j] for every element of the next row that the pass
+// zeroes and leaves the other entries as they are, so passes compose
+// when each one's Next marks the same slice; len(zero) must be the
+// matrix's column count.
+func (p *Rows) Next(zero []bool) {
+	i := p.i
+	p.i++
+	if i%p.sRows == 0 { // one decision per (row block, column segment)
+		for s := range p.segZero {
+			p.segZero[s] = p.spec.SegFrac > 0 && p.sr.Bernoulli(p.spec.SegFrac)
 		}
-		row := d[i*c : (i+1)*c]
-		for j := 0; j < c; j++ {
-			if rowZero || zeroCols[j] || segZero[j/sc] || er.Bernoulli(spec.ElemFrac) {
-				row[j] = 0
+	}
+	if p.zeroRows[i] {
+		for j := range zero {
+			zero[j] = true
+		}
+		return
+	}
+	// x>>11 < cut is er.Bernoulli(frac) for the draw x when 0 < frac <
+	// 1: Bernoulli tests (x>>11)·2⁻⁵³ < frac, and scaling by 2⁵³ is
+	// exact, so for an integer it is x>>11 < ⌈frac·2⁵³⌉.
+	frac, er := p.spec.ElemFrac, p.er
+	cut := uint64(math.Ceil(frac * (1 << 53)))
+	for s, segZero := range p.segZero {
+		lo := s * p.sc
+		seg, cols := zero[lo:min(lo+p.sc, len(zero))], p.zeroCols[lo:]
+		for j := range seg {
+			if segZero || cols[j] {
+				seg[j] = true
+				continue
+			}
+			// The elems stream serves this pass alone, so the draws of a
+			// fraction of 0 or 1, whose outcome is fixed, can be skipped.
+			switch {
+			case frac <= 0:
+			case frac >= 1:
+				seg[j] = true
+			default:
+				var x uint64
+				er, x = xrand.Next(er)
+				if x>>11 < cut {
+					seg[j] = true
+				}
 			}
 		}
 	}
+	p.er = er
 }
 
 // pickSet returns a boolean membership vector with round(frac·n) members.
@@ -138,72 +212,6 @@ func pickSet(rng *xrand.RNG, n int, frac float64) []bool {
 		set[i] = true
 	}
 	return set
-}
-
-// ApplyConv zeroes a conv layer's weights in place. Matrix rows are
-// filter pixels (ci, ky, kx) shared across output filters; matrix columns
-// are output filters — the same orientation as Conv.WeightMatrix.
-func ApplyConv(c *nn.Conv, spec Spec, rng *xrand.RNG) {
-	if err := spec.Validate(); err != nil {
-		panic(err)
-	}
-	rows := c.Cin * c.K * c.K
-	zeroRows := pickSet(rng.Split("rows"), rows, spec.RowFrac)
-	zeroCols := pickSet(rng.Split("cols"), c.Cout, spec.ColFrac)
-	er := rng.Split("elems")
-	sr := rng.Split("segs")
-	sc, sRows := spec.segCols(), spec.segRows()
-	nSeg := (c.Cout + sc - 1) / sc
-	nBlock := (rows + sRows - 1) / sRows
-	// Segment decisions must match ApplyMatrix's draw order (row blocks
-	// outer, column segments inner); precompute them because conv storage
-	// iterates filters (columns) in the outer loop.
-	segZero := make([]bool, nBlock*nSeg)
-	if spec.SegFrac > 0 {
-		for i := range segZero {
-			segZero[i] = sr.Bernoulli(spec.SegFrac)
-		}
-	}
-	kk := c.K * c.K
-	d := c.W.Data()
-	for co := 0; co < c.Cout; co++ {
-		base := co * c.Cin * kk
-		seg := co / sc
-		for rIdx := 0; rIdx < rows; rIdx++ {
-			if zeroRows[rIdx] || zeroCols[co] || segZero[(rIdx/sRows)*nSeg+seg] || er.Bernoulli(spec.ElemFrac) {
-				d[base+rIdx] = 0
-			}
-		}
-	}
-}
-
-// ApplyFC zeroes an FC layer's weights in place.
-func ApplyFC(f *nn.FC, spec Spec, rng *xrand.RNG) {
-	ApplyMatrix(f.W, spec, rng)
-}
-
-// ApplyLayer dispatches on the matrix-layer type.
-func ApplyLayer(l nn.MatrixLayer, spec Spec, rng *xrand.RNG) {
-	switch v := l.(type) {
-	case *nn.Conv:
-		ApplyConv(v, spec, rng)
-	case *nn.FC:
-		ApplyFC(v, spec, rng)
-	default:
-		panic("prune: unknown matrix layer type")
-	}
-}
-
-// SpecFunc selects the spec for a layer; used by ApplyNetwork.
-type SpecFunc func(li nn.LayerInfo) Spec
-
-// ApplyNetwork prunes every matrix layer of net using the per-layer spec
-// from f. Each layer draws from an independent RNG stream keyed by its
-// path, so results do not depend on layer iteration order.
-func ApplyNetwork(net *nn.Network, f SpecFunc, rng *xrand.RNG) {
-	for _, li := range net.MatrixLayerInfos() {
-		ApplyLayer(li.Layer, f(li), rng.Split("prune/"+li.Path))
-	}
 }
 
 // Magnitude zeroes the smallest-magnitude elements of w until the target

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"sre/internal/nn"
 	"sre/internal/tensor"
 	"sre/internal/xrand"
 )
@@ -23,6 +22,9 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if (Spec{ElemFrac: -0.1}).Validate() == nil {
 		t.Fatal("accepted negative fraction")
+	}
+	if (Spec{SegFrac: math.NaN()}).Validate() == nil {
+		t.Fatal("accepted a NaN fraction")
 	}
 	if (Spec{RowFrac: 0.5, ColFrac: 0.5, ElemFrac: 0.5}).Validate() != nil {
 		t.Fatal("rejected valid spec")
@@ -91,72 +93,6 @@ func TestApplyMatrixTotalSparsityCalibration(t *testing.T) {
 	got := w.Sparsity()
 	if math.Abs(got-target) > 0.02 {
 		t.Fatalf("sparsity %v, want ~%v", got, target)
-	}
-}
-
-func TestApplyConvMatchesMatrixOrientation(t *testing.T) {
-	c := nn.NewConv(3, 8, 3, 1, 1)
-	for i := range c.W.Data() {
-		c.W.Data()[i] = 1
-	}
-	ApplyConv(c, Spec{RowFrac: 0.4}, xrand.New(3))
-	// The weight-matrix view must show exactly the zeroed rows.
-	m := c.WeightMatrix()
-	if got := MatrixRowSparsity(m); math.Abs(got-0.4) > 0.05 {
-		t.Fatalf("conv matrix row sparsity = %v", got)
-	}
-	// A zero row means that pixel is zero in EVERY filter.
-	for r := 0; r < m.Dim(0); r++ {
-		zero := true
-		for j := 0; j < m.Dim(1); j++ {
-			if m.At(r, j) != 0 {
-				zero = false
-			}
-		}
-		if zero {
-			ci, rest := r/9, r%9
-			ky, kx := rest/3, rest%3
-			for co := 0; co < 8; co++ {
-				if c.W.At(co, ci, ky, kx) != 0 {
-					t.Fatal("row zero in matrix but not in conv storage")
-				}
-			}
-		}
-	}
-}
-
-func TestApplyNetworkDeterministicPerLayer(t *testing.T) {
-	build := func() *nn.Network {
-		net, err := nn.Parse("p", nn.Shape{1, 12, 12}, "conv3x4-pool-conv3x4-8-4")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, li := range net.MatrixLayerInfos() {
-			switch l := li.Layer.(type) {
-			case *nn.Conv:
-				l.W.Fill(1)
-			case *nn.FC:
-				l.W.Fill(1)
-			}
-		}
-		return net
-	}
-	spec := func(nn.LayerInfo) Spec { return Spec{RowFrac: 0.25, ElemFrac: 0.3} }
-	a, b := build(), build()
-	ApplyNetwork(a, spec, xrand.New(9))
-	ApplyNetwork(b, spec, xrand.New(9))
-	la, lb := a.MatrixLayerInfos(), b.MatrixLayerInfos()
-	for i := range la {
-		wa := la[i].Layer.WeightMatrix()
-		wb := lb[i].Layer.WeightMatrix()
-		for j := range wa.Data() {
-			if wa.Data()[j] != wb.Data()[j] {
-				t.Fatal("ApplyNetwork is not deterministic")
-			}
-		}
-	}
-	if a.WeightSparsity() < 0.3 {
-		t.Fatalf("network sparsity %v too low", a.WeightSparsity())
 	}
 }
 
@@ -237,30 +173,65 @@ func TestSegmentRowsBlockConsistency(t *testing.T) {
 	}
 }
 
-// TestApplyConvMatchesApplyMatrix: pruning a conv layer directly must
-// produce exactly the zeros that pruning its matrix view produces (same
-// RNG stream), including with segments and row blocks.
-func TestApplyConvMatchesApplyMatrix(t *testing.T) {
-	specs := []Spec{
-		{RowFrac: 0.2, ColFrac: 0.1},
-		{SegFrac: 0.4, SegCols: 2, SegRows: 9},
-		{RowFrac: 0.1, SegFrac: 0.3, SegCols: 4, SegRows: 3, ElemFrac: 0.0},
-	}
-	for si, spec := range specs {
-		c := nn.NewConv(4, 8, 3, 1, 1)
-		for i := range c.W.Data() {
-			c.W.Data()[i] = 1
+// legacyApplyMatrix is ApplyMatrix as it was written before the Rows
+// replay: one pass that draws and zeroes in place. FuzzPruneRows holds
+// the replay to its zeros.
+func legacyApplyMatrix(w *tensor.Tensor, spec Spec, rng *xrand.RNG) {
+	r, c := w.Dim(0), w.Dim(1)
+	zeroRows := pickSet(rng.Split("rows"), r, spec.RowFrac)
+	zeroCols := pickSet(rng.Split("cols"), c, spec.ColFrac)
+	er := rng.Split("elems")
+	sr := rng.Split("segs")
+	sc, sRows := spec.segCols(), spec.segRows()
+	d := w.Data()
+	segZero := make([]bool, (c+sc-1)/sc)
+	for i := 0; i < r; i++ {
+		rowZero := zeroRows[i]
+		if i%sRows == 0 {
+			for s := range segZero {
+				segZero[s] = spec.SegFrac > 0 && sr.Bernoulli(spec.SegFrac)
+			}
 		}
-		m := c.WeightMatrix() // dense copy in matrix orientation
-		ApplyConv(c, spec, xrand.New(77))
-		ApplyMatrix(m, spec, xrand.New(77))
-		got := c.WeightMatrix()
-		for r := 0; r < m.Dim(0); r++ {
-			for cc := 0; cc < m.Dim(1); cc++ {
-				if (got.At(r, cc) == 0) != (m.At(r, cc) == 0) {
-					t.Fatalf("spec %d: conv and matrix pruning disagree at (%d,%d)", si, r, cc)
-				}
+		row := d[i*c : (i+1)*c]
+		for j := 0; j < c; j++ {
+			if rowZero || zeroCols[j] || segZero[j/sc] || er.Bernoulli(spec.ElemFrac) {
+				row[j] = 0
 			}
 		}
 	}
+}
+
+// FuzzPruneRows checks that the Rows replay, and ApplyMatrix on it,
+// zero exactly the elements legacyApplyMatrix zeroes in a matrix of
+// non-zero values, for arbitrary dims, fractions (0 and 1 included),
+// segment shapes and seeds. A fraction is its argument over 1000,
+// capped at 1.
+func FuzzPruneRows(f *testing.F) {
+	f.Add(uint8(17), uint8(9), uint16(150), uint16(30), uint16(120), uint16(500), int8(2), int8(9), uint64(1))
+	f.Add(uint8(64), uint8(40), uint16(0), uint16(0), uint16(1000), uint16(0), int8(16), int8(1), uint64(2))
+	f.Add(uint8(5), uint8(33), uint16(1000), uint16(1000), uint16(0), uint16(1000), int8(0), int8(0), uint64(3))
+	f.Add(uint8(12), uint8(7), uint16(0), uint16(300), uint16(700), uint16(1000), int8(-3), int8(5), uint64(4))
+	f.Fuzz(func(t *testing.T, r8, c8 uint8, rowK, colK, segK, elemK uint16, segCols, segRows int8, seed uint64) {
+		r, c := int(r8)%96+1, int(c8)%96+1
+		frac := func(k uint16) float64 { return float64(min(k, 1000)) / 1000 }
+		spec := Spec{RowFrac: frac(rowK), ColFrac: frac(colK), SegFrac: frac(segK),
+			SegCols: int(segCols), SegRows: int(segRows), ElemFrac: frac(elemK)}
+		want := filledMatrix(r, c)
+		legacyApplyMatrix(want, spec, xrand.New(seed))
+		got := filledMatrix(r, c)
+		ApplyMatrix(got, spec, xrand.New(seed))
+		rows := NewRows(r, c, spec, xrand.New(seed))
+		zero := make([]bool, c)
+		for i := 0; i < r; i++ {
+			clear(zero)
+			rows.Next(zero)
+			for j, z := range zero {
+				w := want.At(i, j) == 0
+				if z != w || (got.At(i, j) == 0) != w {
+					t.Fatalf("%v on %dx%d: (%d,%d) replay zero %v, ApplyMatrix zero %v, legacy zero %v",
+						spec, r, c, i, j, z, got.At(i, j) == 0, w)
+				}
+			}
+		}
+	})
 }

@@ -56,6 +56,7 @@ import (
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/mapping"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/workload"
 
@@ -212,25 +213,49 @@ type actsMeta struct {
 	Seed                           uint64
 }
 
-// check reports an activation field that the key fixes but a holds
-// otherwise: Build takes the code width from the quantization, the
-// sparsity and octave spreads from the spec, and gives each channel
-// between 1 and all of the layer's rows. NWindows is not checked: only
-// the topology knows it, and parsing one allocates every weight.
-func (a actsMeta) check(k Key, rows int) error {
-	switch {
-	case a.ABits != k.Quant.ABits:
-		return fmt.Errorf("%d-bit activations under %d-bit quantization", a.ABits, k.Quant.ABits)
-	case a.Sparsity != k.Spec.ActSparsity:
-		return fmt.Errorf("activation sparsity %v, spec says %v", a.Sparsity, k.Spec.ActSparsity)
-	case a.Octaves != k.Spec.ActOctaves:
-		return fmt.Errorf("activation octaves %v, spec says %v", a.Octaves, k.Spec.ActOctaves)
-	case a.ChanOctaves != k.Spec.ActChanOctaves:
-		return fmt.Errorf("channel octaves %v, spec says %v", a.ChanOctaves, k.Spec.ActChanOctaves)
-	case a.RowsPerChan < 1 || a.RowsPerChan > rows:
-		return fmt.Errorf("%d rows per channel outside [1, %d]", a.RowsPerChan, rows)
+// metaOf is the layerMeta and actsMeta Write records for layer l,
+// whose logical weight matrix is rows×cols, everything but the payload
+// fields.
+func metaOf(rows, cols int, l core.Layer, sa *workload.SyntheticActs) layerMeta {
+	return layerMeta{
+		Name:          l.Name,
+		Rows:          rows,
+		Cols:          cols,
+		OutputBits:    l.OutputBits,
+		ParallelGroup: l.ParallelGroup,
+		Acts: actsMeta{Rows: sa.Rows, NWindows: sa.NWindows,
+			Sparsity: sa.Sparsity, Octaves: sa.Octaves, ChanOctaves: sa.ChanOctaves,
+			RowsPerChan: sa.RowsPerChan, ABits: sa.ABits, Seed: sa.Seed},
 	}
-	return nil
+}
+
+// checkShell reports the first field of lm that differs from what the
+// key derives for the layer, its shell: everything but the structure's
+// payload and the stats is a function of the key and the topology.
+func checkShell(lm *layerMeta, sh workload.Shell) error {
+	want := metaOf(sh.Rows, sh.Cols, sh.Layer, sh.Layer.Acts.(*workload.SyntheticActs))
+	got := *lm
+	got.NonZeroCells, got.Stats, got.PlaneWords = 0, workload.LayerStats{}, 0
+	if got == want {
+		return nil
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"name", got.Name, want.Name},
+		{"dims", [2]int{got.Rows, got.Cols}, [2]int{want.Rows, want.Cols}},
+		{"output bits", got.OutputBits, want.OutputBits},
+		{"parallel group", got.ParallelGroup, want.ParallelGroup},
+		{"windows", got.Acts.NWindows, want.Acts.NWindows},
+		{"rows per channel", got.Acts.RowsPerChan, want.Acts.RowsPerChan},
+		{"activation seed", got.Acts.Seed, want.Acts.Seed},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("%s %v, key derives %v", f.name, f.got, f.want)
+		}
+	}
+	return fmt.Errorf("activations %+v, key derives %+v", got.Acts, want.Acts)
 }
 
 // Write serializes the built network b (built from inputs k) to w and
@@ -283,19 +308,8 @@ func encodeBody(k Key, b *workload.Built) (meta, payload []byte, err error) {
 			return nil, nil, fmt.Errorf("snapshot: layer %s: activation source %T is not serializable", l.Name, l.Acts)
 		}
 		st := l.Struct
-		lm := layerMeta{
-			Name:          l.Name,
-			Rows:          st.Layout.Rows,
-			Cols:          st.Layout.LogicalCols,
-			OutputBits:    l.OutputBits,
-			ParallelGroup: l.ParallelGroup,
-			NonZeroCells:  st.NonZeroCells(),
-			Stats:         b.Stats[i],
-			Acts: actsMeta{Rows: sa.Rows, NWindows: sa.NWindows,
-				Sparsity: sa.Sparsity, Octaves: sa.Octaves, ChanOctaves: sa.ChanOctaves,
-				RowsPerChan: sa.RowsPerChan, ABits: sa.ABits, Seed: sa.Seed},
-			PlaneWords: st.PlaneWords(),
-		}
+		lm := metaOf(st.Layout.Rows, st.Layout.LogicalCols, *l, sa)
+		lm.NonZeroCells, lm.Stats, lm.PlaneWords = st.NonZeroCells(), b.Stats[i], st.PlaneWords()
 		// Structure word plane, then the weight-slice group plane, both
 		// contiguous little-endian.
 		for _, wd := range st.AppendSlicePlanes(st.AppendPlanes(make([]uint64, 0, 2*lm.PlaneWords))) {
@@ -385,6 +399,16 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 	if err := k.Quant.Validate(); err != nil {
 		return zero, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	// Everything of a layer but its planes, cell count and stats is a
+	// function of the key, so it is derived here, by the weightless walk
+	// Build takes its shapes from, and the file's copy must match it.
+	shells, err := k.Spec.Shells(k.Quant.ABits, k.Seed)
+	if err != nil {
+		return zero, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if len(fm.Layers) != len(shells) {
+		return zero, nil, fmt.Errorf("%w: %d layers, key derives %d", ErrCorrupt, len(fm.Layers), len(shells))
+	}
 	b := &workload.Built{Spec: k.Spec}
 	off := 0
 	// words decodes the layer's next n-word section. The count comes
@@ -402,12 +426,9 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 		return out, nil
 	}
 	for i := range fm.Layers {
-		lm := &fm.Layers[i]
-		if lm.Rows <= 0 || lm.Cols <= 0 || lm.Acts.Rows != lm.Rows {
-			return zero, nil, fmt.Errorf("%w: layer %s has inconsistent meta", ErrCorrupt, lm.Name)
-		}
-		if err := lm.Acts.check(k, lm.Rows); err != nil {
-			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
+		lm, sh := &fm.Layers[i], shells[i]
+		if err := checkShell(lm, sh); err != nil {
+			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, sh.Layer.Name, err)
 		}
 		planes, err := words(lm, lm.PlaneWords)
 		if err != nil {
@@ -417,20 +438,11 @@ func Decode(data []byte) (Key, *workload.Built, error) {
 		if err != nil {
 			return zero, nil, err
 		}
-		st, err := compress.NewStructureFromPlanes(lm.Rows, lm.Cols, k.Quant, k.Geom, planes, slicePlanes, lm.NonZeroCells)
+		sh.Layer.Struct, err = compress.NewStructureFromPlanes(sh.Rows, sh.Cols, k.Quant, k.Geom, planes, slicePlanes, lm.NonZeroCells)
 		if err != nil {
-			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, lm.Name, err)
+			return zero, nil, fmt.Errorf("%w: layer %s: %v", ErrCorrupt, sh.Layer.Name, err)
 		}
-		acts := &workload.SyntheticActs{
-			Rows: lm.Acts.Rows, NWindows: lm.Acts.NWindows,
-			Sparsity: lm.Acts.Sparsity, Octaves: lm.Acts.Octaves,
-			ChanOctaves: lm.Acts.ChanOctaves, RowsPerChan: lm.Acts.RowsPerChan,
-			ABits: lm.Acts.ABits, Seed: lm.Acts.Seed,
-		}
-		b.Layers = append(b.Layers, core.Layer{
-			Name: lm.Name, Struct: st, Acts: acts, Masks: core.NewMaskPlanes(),
-			OutputBits: lm.OutputBits, ParallelGroup: lm.ParallelGroup,
-		})
+		b.Layers = append(b.Layers, sh.Layer)
 		b.Stats = append(b.Stats, lm.Stats)
 	}
 	if off != len(payload) {
@@ -487,7 +499,7 @@ func WriteFile(path string, k Key, b *workload.Built) error {
 // mismatch — is a loud error, never a silent rebuild: a shared
 // snapshot directory that has gone bad should be noticed, not
 // papered over.
-func LoadOrBuild(dir string, k Key) (*workload.Built, bool, error) {
+func LoadOrBuild(dir string, k Key, pool *parallel.Pool) (*workload.Built, bool, error) {
 	path := filepath.Join(dir, k.FileName())
 	data, err := os.ReadFile(path)
 	switch {
@@ -505,7 +517,7 @@ func LoadOrBuild(dir string, k Key) (*workload.Built, bool, error) {
 	default:
 		return nil, false, err
 	}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, pool)
 	if err != nil {
 		return nil, false, err
 	}

@@ -28,7 +28,7 @@ func testKey(t *testing.T) Key {
 
 func buildKey(t *testing.T, k Key) *workload.Built {
 	t.Helper()
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,25 +151,38 @@ func TestCorruptionPaths(t *testing.T) {
 		lm.Rows, lm.Cols, lm.Acts.Rows = 1<<40, 1<<40, 1<<40
 	}), ErrCorrupt)
 	check("dims that disagree with the plane", layer0(func(lm *layerMeta) { lm.Cols++ }), ErrCorrupt)
-	// Activation fields the key fixes. A hostile width or octave spread
-	// would push windowCodes' exponent past its fast path's range, and
-	// rows per channel past Rows would leave channel draws undefined.
+	// Fields the key derives through the weightless topology walk. A
+	// hostile width or octave spread would push windowCodes' exponent
+	// past its fast path's range, rows per channel past Rows would leave
+	// channel draws undefined, and 2^62 windows would size a DOF run's
+	// scratch from the file.
 	for _, c := range []struct {
 		name string
-		edit func(*actsMeta)
+		edit func(*layerMeta)
 	}{
-		{"activation width off the quantization", func(a *actsMeta) { a.ABits = 40 }},
-		{"activation sparsity off the spec", func(a *actsMeta) { a.Sparsity = 0.5 }},
-		{"negative activation octaves", func(a *actsMeta) { a.Octaves = -64 }},
-		{"channel octaves off the spec", func(a *actsMeta) { a.ChanOctaves = 0 }},
-		{"no rows per channel", func(a *actsMeta) { a.RowsPerChan = 0 }},
-		{"more rows per channel than rows", func(a *actsMeta) { a.RowsPerChan = a.Rows + 1 }},
+		{"activation width off the quantization", func(lm *layerMeta) { lm.Acts.ABits = 40 }},
+		{"activation sparsity off the spec", func(lm *layerMeta) { lm.Acts.Sparsity = 0.5 }},
+		{"negative activation octaves", func(lm *layerMeta) { lm.Acts.Octaves = -64 }},
+		{"channel octaves off the spec", func(lm *layerMeta) { lm.Acts.ChanOctaves = 0 }},
+		{"no rows per channel", func(lm *layerMeta) { lm.Acts.RowsPerChan = 0 }},
+		{"more rows per channel than rows", func(lm *layerMeta) { lm.Acts.RowsPerChan = lm.Acts.Rows + 1 }},
+		{"windows of 2^62", func(lm *layerMeta) { lm.Acts.NWindows = 1 << 62 }},
+		{"another activation seed", func(lm *layerMeta) { lm.Acts.Seed++ }},
+		{"a renamed layer", func(lm *layerMeta) { lm.Name += "x" }},
+		{"another parallel group", func(lm *layerMeta) { lm.ParallelGroup = "g/" }},
+		{"other output bits", func(lm *layerMeta) { lm.OutputBits *= 2 }},
 	} {
-		err := check(c.name, layer0(func(lm *layerMeta) { c.edit(&lm.Acts) }), ErrCorrupt)
+		err := check(c.name, layer0(c.edit), ErrCorrupt)
 		if !strings.Contains(err.Error(), "layer "+b.Layers[0].Name+":") {
 			t.Errorf("%s: error %q does not name layer %s", c.name, err, b.Layers[0].Name)
 		}
 	}
+	check("a dropped layer", func(b []byte) []byte {
+		return reseal(t, b, func(fm *fileMeta) { fm.Layers = fm.Layers[1:] })
+	}, ErrCorrupt)
+	check("a duplicated layer", func(b []byte) []byte {
+		return reseal(t, b, func(fm *fileMeta) { fm.Layers = append(fm.Layers, fm.Layers[0]) })
+	}, ErrCorrupt)
 	if _, _, err := Decode(reseal(t, data, func(*fileMeta) {})); err != nil {
 		t.Fatalf("an unedited re-sealed image does not decode: %v", err)
 	}
@@ -240,7 +253,7 @@ func reseal(t *testing.T, img []byte, edit func(*fileMeta)) []byte {
 func TestLoadOrBuild(t *testing.T) {
 	dir := t.TempDir()
 	k := testKey(t)
-	b1, hit, err := LoadOrBuild(dir, k)
+	b1, hit, err := LoadOrBuild(dir, k, nil)
 	if err != nil || hit {
 		t.Fatalf("first load: hit=%v err=%v", hit, err)
 	}
@@ -248,7 +261,7 @@ func TestLoadOrBuild(t *testing.T) {
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("miss did not persist a snapshot: %v", err)
 	}
-	b2, hit, err := LoadOrBuild(dir, k)
+	b2, hit, err := LoadOrBuild(dir, k, nil)
 	if err != nil || !hit {
 		t.Fatalf("second load: hit=%v err=%v", hit, err)
 	}
@@ -264,7 +277,7 @@ func TestLoadOrBuild(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadOrBuild(dir, k); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := LoadOrBuild(dir, k, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt snapshot: got %v, want ErrCorrupt", err)
 	}
 }
@@ -278,7 +291,7 @@ func FuzzDecodeHeader(f *testing.F) {
 	}
 	k := Key{Spec: spec, Prune: workload.SSL, Quant: quant.Default(),
 		Geom: mapping.Default(), Seed: 1}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -319,7 +332,7 @@ func FuzzDecode(f *testing.F) {
 		RowFrac: 0.1, SegFrac: 0.2, ActOctaves: 5, IndexBits: 5, GSLConv: 0.5, GSLFC: 0.5}
 	k := Key{Spec: spec, Prune: workload.SSL, Quant: quant.Default(),
 		Geom: mapping.Default(), Seed: 1}
-	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed)
+	b, err := k.Spec.Build(k.Prune, k.Quant, k.Geom, k.Seed, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

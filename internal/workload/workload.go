@@ -28,14 +28,18 @@
 package workload
 
 import (
+	"cmp"
+	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"sre/internal/compress"
 	"sre/internal/core"
 	"sre/internal/isaac"
 	"sre/internal/mapping"
 	"sre/internal/nn"
+	"sre/internal/parallel"
 	"sre/internal/prune"
 	"sre/internal/quant"
 	"sre/internal/tensor"
@@ -184,11 +188,6 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workload: unknown network %q", name)
 }
 
-// Network parses and returns the spec's nn topology with zero weights.
-func (s Spec) Network() (*nn.Network, error) {
-	return nn.Parse(s.Name, s.Input, s.Topology)
-}
-
 // Built is a simulator-ready network: per-layer compression structures
 // and activation sources. The weights themselves are no longer
 // referenced once each layer's structure is built; LayerStats keeps the
@@ -229,68 +228,162 @@ func (b *Built) SNrramCells() int64 {
 	return n
 }
 
-// Build constructs the network, fills weights with a right-skewed random
-// magnitude distribution, prunes them per mode, and packages every matrix
-// layer with a synthetic activation source. Each layer uses an
-// independent RNG stream keyed by its path, so results are reproducible
-// and order-independent.
-func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) (*Built, error) {
-	net, err := s.Network()
+// Build packages every matrix layer of the spec's network as a
+// compression structure over its pruned synthetic weights, with a
+// synthetic activation source. Each layer takes its shape from the
+// weightless topology walk (Shells), its weights from prunedWeights,
+// and its structure from one pooled scan of them; the layers build
+// largest first on pool (nil builds serially), each into its own slot.
+// Every stream a layer draws from is keyed by its path, so the result
+// is reproducible and the same at any pool width and in any order.
+func (s Spec) Build(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64, pool *parallel.Pool) (*Built, error) {
+	infos, err := s.layerInfos()
 	if err != nil {
 		return nil, err
 	}
+	if err := s.checkPrune(mode, infos); err != nil {
+		return nil, err
+	}
 	root := s.streamRoot(seed)
-	b := &Built{Spec: s}
-	for _, li := range net.MatrixLayerInfos() {
-		w := s.prunedWeights(root, li, mode, p)
-		src := compress.NewFloatSource(w, p)
-		st := compress.Build(src, p, g)
-		var zeros int64
-		for _, v := range w.Data() {
-			if v == 0 {
-				zeros++
-			}
-		}
+	b := &Built{Spec: s, Layers: make([]core.Layer, len(infos)), Stats: make([]LayerStats, len(infos))}
+	largestFirst(pool, infos, func(i int) {
+		li := infos[i]
+		w, maxAbs, zeros := s.prunedWeights(root, li, mode, p)
 		segRows := 1
 		if li.Kind == nn.KindConv {
 			segRows = li.K * li.K
 		}
-		b.Stats = append(b.Stats, LayerStats{
-			WeightZeros: zeros,
-			WeightTotal: int64(len(w.Data())),
-			SNrramCells: compress.SNrramCompressedCells(src, p, segRows),
-		})
-		b.Layers = append(b.Layers, core.Layer{
-			Name: li.Path, Struct: st, Acts: s.syntheticActs(root, li, p.ABits),
-			Masks:         core.NewMaskPlanes(),
-			OutputBits:    int64(li.Windows) * int64(li.Cols) * int64(p.ABits),
-			ParallelGroup: li.ParallelGroup,
-		})
-	}
+		st, snrram := compress.BuildOn(pool, compress.NewFloatSourceMax(w, p, maxAbs), p, g, segRows)
+		b.Stats[i] = LayerStats{WeightZeros: zeros, WeightTotal: int64(li.Rows) * int64(li.Cols), SNrramCells: snrram}
+		b.Layers[i] = s.shell(root, li, p.ABits).Layer
+		b.Layers[i].Struct = st
+	})
 	return b, nil
 }
 
-// prunedWeights synthesizes matrix layer li's weight matrix from its
-// own streams under root: right-skewed random magnitudes, the prune
-// mode's passes, then the spec's slice cap. Build and
-// BuildOCCStructures both take their weights from here, so the OCC
-// structures see exactly the weights Build's structures do.
-func (s Spec) prunedWeights(root *xrand.RNG, li nn.LayerInfo, mode PruneMode, p quant.Params) *tensor.Tensor {
-	r := root.Split("w/" + li.Path)
-	w := li.Layer.WeightMatrix()
-	// Right-skewed magnitudes: |N(0, 0.3·max)| so that high cell
-	// groups of most weights are zero (the Fig. 4 bit-level effect).
-	d := w.Data()
-	for i := range d {
-		d[i] = float32(r.NormFloat64() * 0.3)
+// layerInfos walks the spec's topology for its matrix layers' shapes,
+// allocating no weight.
+func (s Spec) layerInfos() ([]nn.LayerInfo, error) {
+	return nn.Shapes(s.Name, s.Input, s.Topology)
+}
+
+// checkPrune validates every layer's prune passes up front: a fraction
+// outside [0, 1] would panic in a pool worker, out of the caller's
+// reach.
+func (s Spec) checkPrune(mode PruneMode, infos []nn.LayerInfo) error {
+	for _, li := range infos {
+		for _, ps := range s.pruneSpecs(mode, li) {
+			if err := ps.Validate(); err != nil {
+				return fmt.Errorf("workload: %s layer %s: %w", s.Name, li.Path, err)
+			}
+		}
 	}
+	return nil
+}
+
+// largestFirst calls build(i) for every layer index on pool, the
+// layers with the most weights first: a layer's weight walk is serial,
+// so the longest ones start earliest.
+func largestFirst(pool *parallel.Pool, infos []nn.LayerInfo, build func(i int)) {
+	order := make([]int, len(infos))
+	for i := range order {
+		order[i] = i
+	}
+	size := func(i int) int64 { return int64(infos[i].Rows) * int64(infos[i].Cols) }
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(size(b), size(a)) })
+	pool.For(context.Background(), len(order), func(start, end int) {
+		for _, i := range order[start:end] {
+			build(i)
+		}
+	})
+}
+
+// Shell is one matrix layer as the spec, the activation width and the
+// seed fix it before any weight exists: its logical weight-matrix dims
+// and every core.Layer field but Struct. Build completes it with the
+// structure of the layer's weights; snapshot.Decode with the structure
+// of a file's planes, once the file's claims match it.
+type Shell struct {
+	Rows, Cols int
+	Layer      core.Layer
+}
+
+// Shells returns the spec's layer shells in Build's order, from the
+// weightless topology walk alone.
+func (s Spec) Shells(abits int, seed uint64) ([]Shell, error) {
+	infos, err := s.layerInfos()
+	if err != nil {
+		return nil, err
+	}
+	root := s.streamRoot(seed)
+	out := make([]Shell, len(infos))
+	for i, li := range infos {
+		out[i] = s.shell(root, li, abits)
+	}
+	return out, nil
+}
+
+// shell derives matrix layer li's shell from the spec's stream root.
+func (s Spec) shell(root *xrand.RNG, li nn.LayerInfo, abits int) Shell {
+	return Shell{Rows: li.Rows, Cols: li.Cols, Layer: core.Layer{
+		Name:          li.Path,
+		Acts:          s.syntheticActs(root, li, abits),
+		Masks:         core.NewMaskPlanes(),
+		OutputBits:    int64(li.Windows) * int64(li.Cols) * int64(abits),
+		ParallelGroup: li.ParallelGroup,
+	}}
+}
+
+// prunedWeights synthesizes matrix layer li's weight matrix from its
+// own streams under root and returns it with its largest magnitude and
+// its zero count. The weights are right-skewed, |N(0, 0.3)|-like
+// magnitudes, so that the high cell groups of most weights are zero
+// (the Fig. 4 bit-level effect), pruned by the mode's passes and then
+// clamped by the spec's slice cap. The passes' draws do not depend on
+// the weights, so each row's zeros are marked first (prune.Rows, in
+// ApplyMatrix's order); the weight stream then runs the polar method's
+// acceptance test for every element, advancing exactly as a full
+// NormFloat64 per element would, and takes the Log and Sqrt only for
+// the survivors. The result is bit-identical to drawing every weight
+// and pruning in place. Build and BuildOCCStructures both take their
+// weights from here, so the OCC structures see exactly the weights
+// Build's structures do.
+func (s Spec) prunedWeights(root *xrand.RNG, li nn.LayerInfo, mode PruneMode, p quant.Params) (w *tensor.Tensor, maxAbs float32, zeros int64) {
+	var passes []*prune.Rows
 	for pi, spec := range s.pruneSpecs(mode, li) {
-		prune.ApplyMatrix(w, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path)))
+		passes = append(passes, prune.NewRows(li.Rows, li.Cols, spec, root.Split(fmt.Sprintf("p%d/%s", pi, li.Path))))
+	}
+	r := *root.Split("w/" + li.Path)
+	w = tensor.New(li.Rows, li.Cols)
+	d := w.Data()
+	zero := make([]bool, li.Cols)
+	for i := 0; i < li.Rows; i++ {
+		clear(zero)
+		for _, pass := range passes {
+			pass.Next(zero)
+		}
+		row := d[i*li.Cols : (i+1)*li.Cols]
+		for j, z := range zero {
+			var u, sq float64
+			r, u, sq = xrand.Polar(r)
+			if z {
+				zeros++
+				continue
+			}
+			v := float32(xrand.Norm(u, sq) * 0.3)
+			row[j] = v
+			if v == 0 {
+				zeros++
+			}
+			maxAbs = max(maxAbs, float32(math.Abs(float64(v))))
+		}
 	}
 	if s.SliceCap > 0 {
-		prune.SliceSparsify(w.Data(), s.SliceCap, p.WBits, p.CellBits)
+		// Clamping keeps every non-zero weight non-zero and the largest
+		// magnitudes as they are, so maxAbs and zeros still hold.
+		prune.SliceSparsify(d, s.SliceCap, p.WBits, p.CellBits)
 	}
-	return w
+	return w, maxAbs, zeros
 }
 
 // streamRoot is the RNG every per-layer stream of the spec's network is
@@ -389,20 +482,23 @@ func (s Spec) pruneSpecs(mode PruneMode, li nn.LayerInfo) []prune.Spec {
 
 // BuildOCCStructures regenerates the network's pruned weights (same seed
 // and prune mode, hence bit-identical) and builds the OU-column
-// compression structures aligned one-to-one with Build's layers. Kept
-// separate from Build so the common experiments do not pay the extra
-// scan.
-func (s Spec) BuildOCCStructures(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64) ([]*compress.OCCStructure, error) {
-	net, err := s.Network()
+// compression structures aligned one-to-one with Build's layers, largest
+// first on pool like Build. Kept separate from Build so the common
+// experiments do not pay the extra scan.
+func (s Spec) BuildOCCStructures(mode PruneMode, p quant.Params, g mapping.Geometry, seed uint64, pool *parallel.Pool) ([]*compress.OCCStructure, error) {
+	infos, err := s.layerInfos()
 	if err != nil {
 		return nil, err
 	}
-	root := s.streamRoot(seed)
-	var out []*compress.OCCStructure
-	for _, li := range net.MatrixLayerInfos() {
-		w := s.prunedWeights(root, li, mode, p)
-		out = append(out, compress.BuildOCC(compress.NewFloatSource(w, p), p, g))
+	if err := s.checkPrune(mode, infos); err != nil {
+		return nil, err
 	}
+	root := s.streamRoot(seed)
+	out := make([]*compress.OCCStructure, len(infos))
+	largestFirst(pool, infos, func(i int) {
+		w, maxAbs, _ := s.prunedWeights(root, infos[i], mode, p)
+		out[i] = compress.BuildOCC(compress.NewFloatSourceMax(w, p, maxAbs), p, g)
+	})
 	return out, nil
 }
 

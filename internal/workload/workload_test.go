@@ -11,17 +11,14 @@ import (
 	"sre/internal/core"
 	"sre/internal/mapping"
 	"sre/internal/nn"
+	"sre/internal/parallel"
 	"sre/internal/quant"
 	"sre/internal/xrand"
 )
 
 func TestAllSpecsParse(t *testing.T) {
 	for _, s := range Specs() {
-		net, err := s.Network()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		out, err := net.Validate()
+		infos, err := s.layerInfos()
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -29,9 +26,19 @@ func TestAllSpecsParse(t *testing.T) {
 		if s.Large {
 			want = 1000
 		}
-		if out[len(out)-1] != want {
-			t.Fatalf("%s output shape %v", s.Name, out)
+		if out := infos[len(infos)-1].Cols; out != want {
+			t.Fatalf("%s has %d outputs, want %d", s.Name, out, want)
 		}
+	}
+}
+
+// TestBuildRejectsBadFractions: a prune fraction outside [0, 1] is an
+// error from Build, not a panic in one of its pool workers.
+func TestBuildRejectsBadFractions(t *testing.T) {
+	s, _ := SpecByName("MNIST")
+	s.GSLFC = 1.5
+	if _, err := s.Build(GSL, quant.Default(), mapping.Default(), 1, parallel.New(2)); err == nil {
+		t.Fatal("built with an FC prune fraction of 1.5")
 	}
 }
 
@@ -68,11 +75,10 @@ func TestParameterCounts(t *testing.T) {
 		if !ok {
 			continue
 		}
-		net, err := s.Network()
-		if err != nil {
-			t.Fatal(err)
+		var wc int64
+		for _, li := range matrixInfos(t, s) {
+			wc += int64(li.Rows) * int64(li.Cols)
 		}
-		wc := net.WeightCount()
 		if wc < bounds[0] || wc > bounds[1] {
 			t.Fatalf("%s weight count %d outside [%d, %d]", s.Name, wc, bounds[0], bounds[1])
 		}
@@ -83,16 +89,16 @@ func TestParameterCounts(t *testing.T) {
 // one-to-one with Build's layers.
 func matrixInfos(t *testing.T, s Spec) []nn.LayerInfo {
 	t.Helper()
-	net, err := s.Network()
+	infos, err := s.layerInfos()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return net.MatrixLayerInfos()
+	return infos
 }
 
 func TestBuildSmallNetworkSparsities(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +120,11 @@ func TestBuildSmallNetworkSparsities(t *testing.T) {
 
 func TestBuildDeterminism(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
-	a, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	a, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +181,11 @@ func TestOctavesSkewSliceDensity(t *testing.T) {
 func TestGSLVsSSLStructure(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
 	p, g := quant.Default(), mapping.Default()
-	ssl, err := s.Build(SSL, p, g, 2)
+	ssl, err := s.Build(SSL, p, g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsl, err := s.Build(GSL, p, g, 2)
+	gsl, err := s.Build(GSL, p, g, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +203,7 @@ func TestGSLVsSSLStructure(t *testing.T) {
 
 func TestISAACInputs(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +220,7 @@ func TestISAACInputs(t *testing.T) {
 
 func TestNoPruneKeepsWeightsDense(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(NoPrune, quant.Default(), mapping.Default(), 3)
+	b, err := s.Build(NoPrune, quant.Default(), mapping.Default(), 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +232,7 @@ func TestNoPruneKeepsWeightsDense(t *testing.T) {
 func TestWeightSparsityBuiltTracksTarget(t *testing.T) {
 	for _, name := range []string{"MNIST", "CIFAR-10"} {
 		s, _ := SpecByName(name)
-		b, err := s.Build(SSL, quant.Default(), mapping.Default(), 4)
+		b, err := s.Build(SSL, quant.Default(), mapping.Default(), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +245,7 @@ func TestWeightSparsityBuiltTracksTarget(t *testing.T) {
 
 func TestSNrramCellsPositive(t *testing.T) {
 	s, _ := SpecByName("CIFAR-10")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 5)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +262,11 @@ func TestSNrramCellsPositive(t *testing.T) {
 func TestBuildOCCStructuresAligned(t *testing.T) {
 	s, _ := SpecByName("MNIST")
 	p, g := quant.Default(), mapping.Default()
-	b, err := s.Build(SSL, p, g, 6)
+	b, err := s.Build(SSL, p, g, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	occs, err := s.BuildOCCStructures(SSL, p, g, 6)
+	occs, err := s.BuildOCCStructures(SSL, p, g, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +286,7 @@ func TestBuildOCCStructuresAligned(t *testing.T) {
 
 func TestOutputBitsSet(t *testing.T) {
 	s, _ := SpecByName("MNIST")
-	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7)
+	b, err := s.Build(SSL, quant.Default(), mapping.Default(), 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,14 +378,13 @@ func checkWindow(t *testing.T, src *SyntheticActs, w int) {
 // seed, without generating weights.
 func table2Layers(tb testing.TB, s Spec, seed uint64) []core.Layer {
 	tb.Helper()
-	net, err := s.Network()
+	shells, err := s.Shells(quant.Default().ABits, seed)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	root := s.streamRoot(seed)
-	var layers []core.Layer
-	for _, li := range net.MatrixLayerInfos() {
-		layers = append(layers, core.Layer{Name: li.Path, Acts: s.syntheticActs(root, li, quant.Default().ABits)})
+	layers := make([]core.Layer, len(shells))
+	for i, sh := range shells {
+		layers[i] = sh.Layer
 	}
 	return layers
 }

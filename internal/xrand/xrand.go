@@ -128,17 +128,34 @@ func (r *RNG) Float64() float64 {
 }
 
 // NormFloat64 returns a standard normal variate using the polar
-// Marsaglia method.
+// Marsaglia method: Norm of the pair Polar accepts.
 func (r *RNG) NormFloat64() float64 {
+	var u, s float64
+	*r, u, s = Polar(*r)
+	return Norm(u, s)
+}
+
+// Polar is the draw half of NormFloat64 for a generator held by value:
+// it runs the polar method's acceptance loop and returns the state
+// after it with the accepted pair's u and s = u² + v². A caller that
+// needs the variate passes them to Norm; one that does not skips the
+// Log and Sqrt, and its stream still advances exactly as NormFloat64's.
+func Polar(r RNG) (RNG, float64, float64) {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
+		var x, y uint64
+		r, x = Next(r)
+		r, y = Next(r)
+		u := 2*(float64(x>>11)*(1.0/(1<<53))) - 1
+		v := 2*(float64(y>>11)*(1.0/(1<<53))) - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return r, u, s
 		}
 	}
 }
+
+// Norm is the standard normal variate of a pair Polar accepted.
+func Norm(u, s float64) float64 { return u * math.Sqrt(-2*math.Log(s)/s) }
 
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {

@@ -254,7 +254,7 @@ type Config struct {
 	MaxWindows     int // per-layer window sampling cap; 0 = all windows
 	SliceCap       int // weight bit-slice cap at build time; 0 = off (see WithSliceCap)
 	Seed           uint64
-	Workers        int // simulation worker-pool width; 0 = GOMAXPROCS
+	Workers        int // build and simulation worker-pool width; 0 = GOMAXPROCS
 }
 
 // DefaultConfig returns the paper's Table 1 design point.
@@ -329,9 +329,11 @@ func WithSeed(seed uint64) Option { return func(s *settings) { s.cfg.Seed = seed
 // WithMaxWindows caps per-layer window sampling (0 = all windows).
 func WithMaxWindows(n int) Option { return func(s *settings) { s.cfg.MaxWindows = n } }
 
-// WithWorkers sets the simulation worker-pool width (0 = GOMAXPROCS).
-// Results are bit-identical at any width; WithWorkers(1) forces the
-// serial path.
+// WithWorkers sets the worker-pool width (0 = GOMAXPROCS) of the
+// simulation and of the build: given to Load or Build, it bounds the
+// layers and row blocks built at once, and given to a run, that run's
+// sweep (and RunOCC's OCC build). Results and built networks are
+// bit-identical at any width; WithWorkers(1) forces the serial path.
 func WithWorkers(n int) Option { return func(s *settings) { s.cfg.Workers = n } }
 
 // WithSparsity sets Build's overall weight and activation sparsity
@@ -611,17 +613,18 @@ func buildNetwork(spec workload.Spec, s settings) (*Network, error) {
 	if s.cfg.SliceCap > 0 {
 		spec.SliceCap = s.cfg.SliceCap
 	}
+	pool := parallel.New(s.cfg.Workers)
 	if s.snapshotDir != "" {
 		key := snapshot.Key{Spec: spec, Prune: mode, Quant: s.cfg.params(),
 			Geom: s.cfg.geometry(), Seed: s.cfg.Seed}
-		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key)
+		built, hit, err := snapshot.LoadOrBuild(s.snapshotDir, key, pool)
 		if err != nil {
 			return nil, err
 		}
 		return &Network{name: spec.Name, spec: spec, built: built, cfg: s.cfg,
 			style: s.style, progress: s.progress, fromSnapshot: hit}, nil
 	}
-	built, err := spec.Build(mode, s.cfg.params(), s.cfg.geometry(), s.cfg.Seed)
+	built, err := spec.Build(mode, s.cfg.params(), s.cfg.geometry(), s.cfg.Seed, pool)
 	if err != nil {
 		return nil, err
 	}
@@ -1045,7 +1048,7 @@ func (n *Network) RunOCC(opts ...Option) (Result, error) {
 			n.occMu.Unlock()
 			return Result{}, err
 		}
-		occs, err := n.spec.BuildOCCStructures(mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed)
+		occs, err := n.spec.BuildOCCStructures(mode, n.cfg.params(), n.cfg.geometry(), n.cfg.Seed, parallel.New(s.cfg.Workers))
 		if err != nil {
 			n.occMu.Unlock()
 			return Result{}, err
